@@ -19,6 +19,7 @@ from .errors import (
     DimensionError,
     FmbsError,
     InvalidSpec,
+    NonFiniteInput,
     NotPositiveDefinite,
     ParseError,
     TooLarge,
@@ -26,7 +27,6 @@ from .errors import (
 from .inverse import (
     Estimate,
     NoiseModel,
-    averaged_mse,
     build_sampling_matrix,
     expected_mse,
     ls_estimate,
@@ -35,9 +35,6 @@ from .inverse import (
 )
 from .linalg import (
     block_inverse_update,
-    chol_solve,
-    gram_row,
-    matvec,
     pseudo_inverse_apply,
     schur_threshold,
     trace_inverse,
@@ -71,24 +68,21 @@ __all__ = [
     "Model",
     "ModelSpec",
     "NoiseModel",
+    "NonFiniteInput",
     "NotPositiveDefinite",
     "ParseError",
     "PlacementResult",
     "TooLarge",
     "as_sample_set",
-    "averaged_mse",
     "block_inverse_update",
     "build_sampling_matrix",
-    "chol_solve",
     "direct_greedy_select",
     "exhaustive_select",
     "expected_mse",
     "fmbs_select",
     "generate",
-    "gram_row",
     "load_matrix",
     "ls_estimate",
-    "matvec",
     "monte_carlo_mse",
     "observe",
     "pseudo_inverse_apply",

@@ -13,18 +13,15 @@ DegenerateSchur or NotPositiveDefinite).
 
 Timing always covers the selection loop only, never matrix generation or
 I/O.  Result files are byte-identical across reruns with the same flags and
-seed, except for the timing columns/fields.  The environment variable
-FMBS_THREADS caps the bench worker pool; 0 or unset means serial.
+seed, except for the timing columns/fields.
 """
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -55,44 +52,14 @@ def _parse_budgets(text):
     return [int(text)]
 
 
-def _worker_count(parser):
-    raw = os.environ.get("FMBS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        parser.error(f"FMBS_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        parser.error(f"FMBS_THREADS must be nonnegative, got {value}")
-    return max(value, 1)
-
-
-def _select(method, phi, m, mu, seed, refresh_every):
+def _select(method, phi, m, mu, seed):
     if method == "fmbs":
-        return fmbs_select(phi, m, mu, refresh_every=refresh_every)
+        return fmbs_select(phi, m, mu)
     if method == "greedy-direct":
         return direct_greedy_select(phi, m, mu)
     if method == "exhaustive":
         return exhaustive_select(phi, m, mu)
     return random_select(phi.shape[0], m, seed)
-
-
-@functools.lru_cache(maxsize=4)
-def _cached_matrix(model_value, n, k, seed):
-    return generate(ModelSpec(Model(model_value), n, k, seed))
-
-
-def _bench_task(task, model_value, n, k, mu, sigma2, root_seed, refresh_every):
-    """Run one (trial, method, budget) cell; safe to execute in any process."""
-    trial, method, m = task
-    phi = _cached_matrix(model_value, n, k, _child_seed(root_seed, 0, trial))
-    sampler_seed = _child_seed(root_seed, 1, trial, METHODS.index(method), m)
-    start = time.perf_counter()
-    result = _select(method, phi, m, mu, sampler_seed, refresh_every)
-    seconds = time.perf_counter() - start
-    mse = expected_mse(phi, result.indices, sigma2)
-    return (method, m, trial, mse, seconds, result.indices)
 
 
 def _write_csv(path, header, rows):
@@ -124,7 +91,7 @@ def _cmd_place(args, parser):
         parser.error(f"--mu must be positive, got {args.mu}")
     start = time.perf_counter()
     try:
-        result = _select(args.method, phi, args.budget, args.mu, args.seed, args.refresh_every)
+        result = _select(args.method, phi, args.budget, args.mu, args.seed)
     except FmbsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -137,7 +104,6 @@ def _cmd_place(args, parser):
         "budget": args.budget,
         "mu": args.mu,
         "seed": args.seed,
-        "refresh_every": args.refresh_every,
         "indices": result.indices,
         "objective_trace": result.objective_trace,
         "wall_time_seconds": wall,
@@ -174,30 +140,20 @@ def _cmd_bench(args, parser):
         parser.error(f"--sigma2 must be nonnegative, got {args.sigma2}")
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
-    workers = _worker_count(parser)
 
-    tasks = [
-        (trial, method, m)
-        for trial in range(args.trials)
-        for method in methods
-        for m in budgets
-    ]
-    runner = functools.partial(
-        _bench_task,
-        model_value=args.model,
-        n=args.n,
-        k=args.k,
-        mu=args.mu,
-        sigma2=args.sigma2,
-        root_seed=args.seed,
-        refresh_every=args.refresh_every,
-    )
+    results = []
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(runner, tasks))
-        else:
-            results = [runner(task) for task in tasks]
+        for trial in range(args.trials):
+            spec = ModelSpec(Model(args.model), args.n, args.k, _child_seed(args.seed, 0, trial))
+            phi = generate(spec)
+            for method in methods:
+                for m in budgets:
+                    sampler_seed = _child_seed(args.seed, 1, trial, METHODS.index(method), m)
+                    start = time.perf_counter()
+                    result = _select(method, phi, m, args.mu, sampler_seed)
+                    seconds = time.perf_counter() - start
+                    mse = expected_mse(phi, result.indices, args.sigma2)
+                    results.append((method, m, trial, mse, seconds, result.indices))
     except FmbsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -295,7 +251,7 @@ def _cmd_scaling(args, parser):
             for idx, (n, k, m) in enumerate(points):
                 sampler_seed = _child_seed(args.seed, 2, max(rep, 0))
                 start = time.perf_counter()
-                _select(args.method, matrices[idx], m, args.mu, sampler_seed, None)
+                _select(args.method, matrices[idx], m, args.mu, sampler_seed)
                 if rep >= 0:
                     seconds[idx].append(time.perf_counter() - start)
     except FmbsError as exc:
@@ -349,8 +305,6 @@ def build_parser():
                        help="positive objective shift (default 1e-4)")
     place.add_argument("--method", required=True, choices=METHODS)
     _add_common_seed(place)
-    place.add_argument("--refresh-every", type=int, default=None, metavar="T",
-                       help="re-solve warm starts from scratch every T greedy steps")
     place.add_argument("--out", required=True, help="JSON result path")
     place.set_defaults(handler=_cmd_place)
 
@@ -368,7 +322,6 @@ def build_parser():
     _add_common_seed(bench)
     bench.add_argument("--methods", required=True,
                        help=f"comma-separated subset of: {', '.join(METHODS)}")
-    bench.add_argument("--refresh-every", type=int, default=None, metavar="T")
     bench.add_argument("--out", required=True, help="per-trial CSV path")
     bench.add_argument("--aggregate-out", default=None,
                        help="aggregate CSV path (default: <out>.agg.csv)")

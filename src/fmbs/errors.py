@@ -9,6 +9,10 @@ class DimensionError(FmbsError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteInput(FmbsError, ValueError):
+    """A matrix operand holds a NaN or infinite entry."""
+
+
 class NotPositiveDefinite(FmbsError):
     """A matrix required to be symmetric positive definite is not."""
 

@@ -129,16 +129,3 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
         sse += float(np.einsum("ij,ij->", err, err))
         done += count
     return sse / trials
-
-
-def averaged_mse(instances, sigma2):
-    """Mean expected MSE across (phi, sample set) pairs.
-
-    This is the benchmark metric: an average of analytic traces over matrix
-    draws.  Despite the Monte-Carlo framing of MSE curves, no noise is
-    simulated here.
-    """
-    pairs = list(instances)
-    if not pairs:
-        raise ValueError("need at least one (phi, sample set) instance")
-    return sum(expected_mse(phi, s, sigma2) for phi, s in pairs) / len(pairs)

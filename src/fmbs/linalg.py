@@ -9,16 +9,24 @@ inverse of a triangular factor, when accumulating a trace).
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
 
-from .errors import DegenerateSchur, DimensionError, NotPositiveDefinite
+from .errors import DegenerateSchur, DimensionError, NonFiniteInput, NotPositiveDefinite
 
 
 def as_matrix(a):
-    """Coerce to a 2-d float64 array, raising DimensionError otherwise."""
+    """Coerce to a finite 2-d float64 array.
+
+    Raises DimensionError for a wrong shape and NonFiniteInput, naming the
+    first offending position, for a NaN or infinite entry.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise DimensionError("matrix dimensions must be positive")
+    finite = np.isfinite(a)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonFiniteInput(f"matrix entry at row {i}, column {j} is {a[i, j]}, not finite")
     return a
 
 
@@ -35,39 +43,6 @@ def schur_threshold(q_ii):
     return 1e-12 * np.maximum(1.0, q_ii)
 
 
-def matvec(a, x):
-    """Matrix-vector product a @ x."""
-    a = as_matrix(a)
-    x = as_vector(x)
-    if a.shape[1] != x.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by vector of length {x.shape[0]}")
-    return a @ x
-
-
-def gram_row(a, i, j):
-    """Inner product of rows i and j of a."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    if not (0 <= i < n) or not (0 <= j < n):
-        raise IndexError(f"row indices ({i}, {j}) out of range for {n} rows")
-    return float(a[i] @ a[j])
-
-
-def chol_solve(a, b):
-    """Solve a @ x = b for symmetric positive-definite a."""
-    a = as_matrix(a)
-    b = as_vector(b)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(f"right-hand side length {b.shape[0]} != side {a.shape[0]}")
-    try:
-        factor = cho_factor(a, lower=True)
-    except LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-    return cho_solve(factor, b)
-
-
 def trace_inverse(a):
     """Trace of the inverse of a symmetric positive-definite matrix.
 
@@ -78,10 +53,10 @@ def trace_inverse(a):
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix must be square, got {a.shape}")
     try:
-        lower = cholesky(a, lower=True)
+        lower = cholesky(a, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-    linv = solve_triangular(lower, np.eye(a.shape[0]), lower=True)
+    linv = solve_triangular(lower, np.eye(a.shape[0]), lower=True, check_finite=False)
     return float(np.einsum("ij,ij->", linv, linv))
 
 

@@ -20,9 +20,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import BudgetError, DegenerateSchur, NotPositiveDefinite, TooLarge
+from .errors import BudgetError, DegenerateSchur, TooLarge
 from .linalg import as_matrix, schur_threshold, trace_inverse
 
 EXHAUSTIVE_LIMIT = 1_000_000
@@ -122,17 +121,14 @@ class GreedyState:
     stays consistent with from-scratch evaluation.
     """
 
-    def __init__(self, phi, budget, mu, refresh_every=None):
+    def __init__(self, phi, budget, mu):
         self.phi = np.ascontiguousarray(as_matrix(phi))
         n = self.phi.shape[0]
         budget = int(budget)
         if budget < 1 or budget > n:
             raise BudgetError(f"budget must be in [1, {n}], got {budget}")
-        if refresh_every is not None and int(refresh_every) < 1:
-            raise ValueError(f"refresh_every must be a positive count, got {refresh_every}")
         self.mu = _check_mu(mu)
         self.budget = budget
-        self.refresh_every = None if refresh_every is None else int(refresh_every)
         self.q_diag = np.einsum("ij,ij->i", self.phi, self.phi) + self.mu
         self._floor = schur_threshold(self.q_diag)
         # Row t of _p/_r holds the entry appended at greedy depth t; one
@@ -181,45 +177,10 @@ class GreedyState:
             float(self._cost[i]),
         )
 
-    def refresh_candidate(self, i):
-        """Advance candidate i by one greedy level, without committing it.
-
-        This is the scalar form of the update that step() applies to every
-        candidate at once; the base case right after the first selection is
-        p = phi_istar . phi_i and r = p / q_istar.
-        """
-        i = int(i)
-        if not (0 <= i < self.phi.shape[0]) or not self._candidate[i]:
-            raise IndexError(f"{i} is not an unselected candidate")
-        t = len(self.selected)
-        istar = self.selected[-1]
-        gram = float(self.phi[istar] @ self.phi[i])
-        if t == 1:
-            p = np.array([gram])
-            r = p / float(self.q_diag[istar])
-        else:
-            old_p = self._p[: t - 1, i]
-            old_r = self._r[: t - 1, i]
-            alpha = float(old_p @ self.chosen_r) / self.chosen_h
-            beta = gram / self.chosen_h
-            p = np.append(old_p, gram)
-            r = np.append(old_r + (alpha - beta) * self.chosen_r, beta - alpha)
-        h = float(self.q_diag[i] - p @ r)
-        if not h > self._floor[i]:
-            raise DegenerateSchur(f"candidate {i}: schur complement {h:.6e} at or below floor")
-        cost = (float(r @ r) + 1.0) / h
-        return CandidateState(i, p, r, h, cost)
-
     def step(self):
         """Run one greedy iteration and return the accepted row index."""
         if self.complete:
             raise BudgetError("selection already complete")
-        if (
-            self.refresh_every is not None
-            and self.depth >= 1
-            and self.depth % self.refresh_every == 0
-        ):
-            self._refresh_from_scratch()
         t = len(self.selected)
         istar = self.selected[-1]
         gram = self.phi @ self.phi[istar]
@@ -230,7 +191,7 @@ class GreedyState:
             self._rnorm2 = self._r[0] ** 2
         else:
             # p_i . r* equals chosen_p . r_i by symmetry of the solve, so the
-            # whole refresh reads only the r block; each candidate's p.r grows
+            # whole update reads only the r block; each candidate's p.r grows
             # by exactly h* delta^2 and |r|^2 by 2 delta (r . r*) +
             # delta^2 (|r*|^2 + 1), with delta = alpha - beta, so h and |r|^2
             # advance without re-reducing the stored vectors
@@ -262,45 +223,11 @@ class GreedyState:
         self._candidate[winner] = False
         return winner
 
-    def _refresh_from_scratch(self):
-        """Replace the recursive solves with direct factorized ones.
 
-        p entries are exact inner products and never drift; r, the running
-        h and |r|^2 values and the carried-over winner data are recomputed.
-        """
-        t = self.depth
-        base = self.selected[:t]
-        a = self.phi[base]
-        q = a @ a.T
-        q[np.diag_indices_from(q)] += self.mu
-        try:
-            factor = cho_factor(q, lower=True)
-        except LinAlgError as exc:  # cannot happen for mu > 0
-            raise NotPositiveDefinite(str(exc)) from None
-        cols = np.flatnonzero(self._candidate)
-        self._r[:t, cols] = cho_solve(factor, self._p[:t, cols])
-        self._h[cols] = self.q_diag[cols] - np.einsum(
-            "ij,ij->j", self._p[:t, cols], self._r[:t, cols]
-        )
-        self._rnorm2[cols] = np.einsum("ij,ij->j", self._r[:t, cols], self._r[:t, cols])
-        self.chosen_r = cho_solve(factor, self.chosen_p)
-        istar = self.selected[-1]
-        self.chosen_h = float(self.q_diag[istar] - self.chosen_p @ self.chosen_r)
-        if not self.chosen_h > self._floor[istar]:
-            raise DegenerateSchur(
-                f"selected {istar}: schur complement {self.chosen_h:.6e} at or below floor"
-            )
-
-
-def fmbs_select(phi, m, mu, refresh_every=None):
-    """Select m rows greedily with warm-started candidate scoring.
-
-    refresh_every=T recomputes the candidate solves by direct factorization
-    every T steps, trading speed for suppression of recursion round-off;
-    the default (off) matches the plain recursion.
-    """
+def fmbs_select(phi, m, mu):
+    """Select m rows greedily with warm-started candidate scoring."""
     start = time.perf_counter_ns()
-    state = GreedyState(phi, m, mu, refresh_every=refresh_every)
+    state = GreedyState(phi, m, mu)
     times = [time.perf_counter_ns() - start]
     while not state.complete:
         start = time.perf_counter_ns()

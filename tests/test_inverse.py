@@ -7,7 +7,6 @@ from fmbs import (
     DimensionError,
     NoiseModel,
     NotPositiveDefinite,
-    averaged_mse,
     build_sampling_matrix,
     expected_mse,
     ls_estimate,
@@ -270,22 +269,3 @@ def test_monte_carlo_validation():
         monte_carlo_mse(PHI3, [0, 1], np.zeros(2), 1.0, trials=0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_mse(PHI3, [0, 1], np.zeros(2), -1.0, trials=10, seed=0)
-
-
-def test_averaged_mse_singleton_and_repeats():
-    single = expected_mse(PHI3, [0, 1], 1.0)
-    assert averaged_mse([(PHI3, [0, 1])], 1.0) == single
-    assert averaged_mse([(PHI3, [0, 1])] * 5, 1.0) == pytest.approx(single, rel=1e-15)
-
-
-def test_averaged_mse_arithmetic_mean():
-    # diag(sqrt2) selection gives trace 1, identity gives 2: mean 1.5
-    phi_one = math.sqrt(2.0) * np.eye(2)
-    phi_two = np.eye(2)
-    got = averaged_mse([(phi_one, [0, 1]), (phi_two, [0, 1])], 1.0)
-    assert got == pytest.approx(1.5, rel=1e-14)
-
-
-def test_averaged_mse_empty():
-    with pytest.raises(ValueError):
-        averaged_mse([], 1.0)

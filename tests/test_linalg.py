@@ -6,9 +6,6 @@ from fmbs import (
     DimensionError,
     NotPositiveDefinite,
     block_inverse_update,
-    chol_solve,
-    gram_row,
-    matvec,
     pseudo_inverse_apply,
     schur_threshold,
     trace_inverse,
@@ -20,70 +17,6 @@ def random_spd(rng, side, cond=100.0):
     q, _ = np.linalg.qr(rng.standard_normal((side, side)))
     eigs = np.logspace(0.0, np.log10(cond), side)
     return (q * eigs) @ q.T
-
-
-def test_matvec_identity():
-    assert np.array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-
-def test_matvec_zero():
-    assert np.array_equal(matvec(np.zeros((2, 2)), [3.0, 4.0]), [0.0, 0.0])
-
-
-def test_matvec_hand():
-    # [[1,2],[3,4]] . (1,1) = (1+2, 3+4)
-    assert np.array_equal(matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        matvec(np.eye(3), [1.0, 2.0])
-
-
-def test_gram_row_identity():
-    assert gram_row(np.eye(3), 0, 0) == 1.0
-    assert gram_row(np.eye(3), 0, 1) == 0.0
-
-
-def test_gram_row_hand():
-    # rows (2,0) and (1,1): 2*1 + 0*1
-    assert gram_row([[2.0, 0.0], [1.0, 1.0]], 0, 1) == 2.0
-
-
-def test_gram_row_out_of_range():
-    with pytest.raises(IndexError):
-        gram_row(np.eye(3), 0, 3)
-    with pytest.raises(IndexError):
-        gram_row(np.eye(3), -1, 0)
-
-
-def test_chol_solve_diagonal():
-    assert np.allclose(chol_solve(2.0 * np.eye(2), [2.0, 4.0]), [1.0, 2.0], atol=1e-14)
-
-
-def test_chol_solve_identity():
-    assert np.array_equal(chol_solve(np.eye(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-
-def test_chol_solve_hand():
-    # [[4,2],[2,2]] x = (2,2): second eq gives x0 + x1 = 1, first 2x0 + x1 = 1
-    x = chol_solve([[4.0, 2.0], [2.0, 2.0]], [2.0, 2.0])
-    assert np.allclose(x, [0.0, 1.0], atol=1e-14)
-
-
-def test_chol_solve_not_positive_definite():
-    with pytest.raises(NotPositiveDefinite):
-        chol_solve([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0])
-
-
-def test_chol_solve_residual_on_random_spd():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        side = int(rng.integers(1, 51))
-        a = random_spd(rng, side, cond=10.0 ** rng.uniform(0, 6))
-        b = rng.standard_normal(side)
-        x = chol_solve(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
 
 def test_trace_inverse_diagonal():

@@ -3,10 +3,13 @@ import pytest
 
 from fmbs import (
     BudgetError,
+    FmbsError,
     GreedyState,
+    NonFiniteInput,
     TooLarge,
     direct_greedy_select,
     exhaustive_select,
+    expected_mse,
     fmbs_select,
     random_select,
     shifted_normal_objective,
@@ -77,6 +80,26 @@ def test_objective_validation():
         shifted_normal_objective(PHI3, [0], 0.0)
 
 
+NONFINITE_CALLS = {
+    "fmbs_select": lambda phi: fmbs_select(phi, 3, MU),
+    "direct_greedy_select": lambda phi: direct_greedy_select(phi, 3, MU),
+    "exhaustive_select": lambda phi: exhaustive_select(phi, 3, MU),
+    "shifted_normal_objective": lambda phi: shifted_normal_objective(phi, [0, 5, 2], MU),
+    "submatrix_objective": lambda phi: submatrix_objective(phi, [0, 5, 2], MU),
+    "expected_mse": lambda phi: expected_mse(phi, [0, 5, 2], 1.0),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(NONFINITE_CALLS))
+def test_nonfinite_input_rejected(entry, value):
+    phi = np.random.default_rng(19).standard_normal((8, 2))
+    phi[5, 1] = value
+    with pytest.raises(NonFiniteInput, match="row 5, column 1") as excinfo:
+        NONFINITE_CALLS[entry](phi)
+    assert isinstance(excinfo.value, FmbsError) and isinstance(excinfo.value, ValueError)
+
+
 def test_fmbs_worked_example():
     result = fmbs_select(PHI3, 2, MU)
     assert result.indices == [0, 1]
@@ -92,14 +115,15 @@ def test_fmbs_worked_example():
 def test_fmbs_candidate_costs_worked_example():
     state = GreedyState(PHI3, 2, MU)
     assert state.selected == [0]
-    # candidate 1 is orthogonal to row 0: cost (0 + 1) / (1 + mu)
-    c1 = state.refresh_candidate(1)
-    assert c1.p == pytest.approx([0.0], abs=0.0)
-    assert c1.r == pytest.approx([0.0], abs=0.0)
-    assert c1.h == pytest.approx(1.0 + MU, rel=1e-14)
-    assert c1.cost == pytest.approx(1.0 / (1.0 + MU), rel=1e-14)
+    assert state.step() == 1
+    # winner 1 is orthogonal to row 0: cost (0 + 1) / (1 + mu)
+    assert state.chosen_p == pytest.approx([0.0], abs=0.0)
+    assert state.chosen_r == pytest.approx([0.0], abs=0.0)
+    assert state.chosen_h == pytest.approx(1.0 + MU, rel=1e-14)
+    gain = state.objective_trace[1] - state.objective_trace[0]
+    assert gain == pytest.approx(1.0 / (1.0 + MU), rel=1e-14)
     # candidate 2: p = 2, r = 2/(4+mu), h = (2+mu) - 4/(4+mu)
-    c2 = state.refresh_candidate(2)
+    c2 = state.candidate_state(2)
     assert c2.p == pytest.approx([2.0], abs=0.0)
     assert c2.r == pytest.approx([2.0 / (4.0 + MU)], rel=1e-14)
     h_expected = (2.0 + MU) - 4.0 / (4.0 + MU)
@@ -107,9 +131,9 @@ def test_fmbs_candidate_costs_worked_example():
     assert c2.cost == pytest.approx(((2.0 / (4.0 + MU)) ** 2 + 1.0) / h_expected, rel=1e-12)
     # both candidate increments match the objective growth computed fresh
     base = 1.0 / (4.0 + MU)
-    for cand in (c1, c2):
-        fresh = submatrix_objective_brute(PHI3, [0, cand.index], MU) - base
-        assert cand.cost == pytest.approx(fresh, rel=1e-10)
+    for i, cost in ((1, gain), (2, c2.cost)):
+        fresh = submatrix_objective_brute(PHI3, [0, i], MU) - base
+        assert cost == pytest.approx(fresh, rel=1e-10)
 
 
 def test_fmbs_identity_tie_break():
@@ -141,8 +165,6 @@ def test_fmbs_budget_validation():
         fmbs_select(PHI3, 0, MU)
     with pytest.raises(ValueError):
         fmbs_select(PHI3, 2, -1.0)
-    with pytest.raises(ValueError):
-        fmbs_select(PHI3, 2, MU, refresh_every=0)
 
 
 def test_direct_greedy_worked_example():
@@ -185,12 +207,20 @@ def test_cost_identity_every_step():
     for mu in (1e-2, 1e-4):
         state = GreedyState(phi, 8, mu)
         while not state.complete:
-            base = submatrix_objective_brute(phi, state.selected, mu)
+            before = list(state.selected)
+            base = submatrix_objective_brute(phi, before, mu)
+            winner = state.step()
+            # the committed costs score every candidate against the rows
+            # selected before this step, the winner included
+            fresh = submatrix_objective_brute(phi, before + [winner], mu) - base
+            gain = state.objective_trace[-1] - state.objective_trace[-2]
+            chosen_cost = (float(state.chosen_r @ state.chosen_r) + 1.0) / state.chosen_h
+            assert abs(gain - fresh) <= 1e-8 * abs(fresh)
+            assert abs(chosen_cost - fresh) <= 1e-8 * abs(fresh)
             for i in state.candidate_indices():
-                cand = state.refresh_candidate(int(i))
-                fresh = submatrix_objective_brute(phi, state.selected + [int(i)], mu) - base
+                cand = state.candidate_state(int(i))
+                fresh = submatrix_objective_brute(phi, before + [int(i)], mu) - base
                 assert abs(cand.cost - fresh) <= 1e-8 * abs(fresh)
-            state.step()
 
 
 def test_warm_start_matches_direct_solves():
@@ -214,8 +244,8 @@ def test_warm_start_matches_direct_solves():
 
 
 def test_warm_start_drift_deep_run():
-    # justifies keeping refresh_every off by default: even far past the
-    # column count, recursion drift stays orders below the 1e-8 contract
+    # even far past the column count, recursion drift stays orders below
+    # the 1e-8 contract
     phi = np.random.default_rng(18).standard_normal((300, 30))
     q_diag = np.einsum("ij,ij->i", phi, phi) + MU
     state = GreedyState(phi, 60, MU)
@@ -240,22 +270,11 @@ def test_greedy_state_access_guards():
     with pytest.raises(ValueError):
         state.candidate_state(1)  # nothing committed before the first step
     with pytest.raises(IndexError):
-        state.refresh_candidate(0)  # already selected
+        state.candidate_state(0)  # already selected
     state.step()
     assert state.complete
     with pytest.raises(BudgetError):
         state.step()
-
-
-def test_refresh_every_reproduces_default_runs():
-    for seed in range(5):
-        phi = np.random.default_rng(seed).standard_normal((30, 4))
-        baseline = fmbs_select(phi, 10, MU)
-        for period in (1, 3, 7):
-            refreshed = fmbs_select(phi, 10, MU, refresh_every=period)
-            assert refreshed.indices == baseline.indices
-            for a, b in zip(refreshed.objective_trace, baseline.objective_trace):
-                assert abs(a - b) <= 1e-8 * abs(b)
 
 
 def test_exhaustive_worked_example():
@@ -305,7 +324,8 @@ def test_zero_row_is_selectable():
     assert result.indices[-1] == 1  # the zero row is the costliest, picked last
     assert result.indices == direct_greedy_select(phi, 3, MU).indices
     state = GreedyState(phi, 2, MU)
-    zero = state.refresh_candidate(1)
+    assert state.step() == 0
+    zero = state.candidate_state(1)
     assert zero.h == pytest.approx(MU, rel=1e-12)
     assert zero.cost == pytest.approx(1.0 / MU, rel=1e-12)
 
