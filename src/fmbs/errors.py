@@ -10,7 +10,7 @@ class DimensionError(FmbsError):
 
 
 class NonFiniteInput(FmbsError, ValueError):
-    """A matrix operand holds a NaN or infinite entry."""
+    """A matrix or vector operand holds a NaN or infinite entry."""
 
 
 class NotPositiveDefinite(FmbsError):

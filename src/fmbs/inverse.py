@@ -10,10 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import DimensionError, NotPositiveDefinite
-from .linalg import as_matrix, as_vector, pseudo_inverse_apply, trace_inverse
+from .errors import DimensionError
+from .linalg import as_matrix, as_vector, cho_solve, cholesky, pseudo_inverse_apply, trace_inverse
 from .placement import as_sample_set
 
 _MC_CHUNK = 32768
@@ -112,10 +111,7 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
     a = phi[idx]
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least {a.shape[1]} samples, got {a.shape[0]}")
-    try:
-        factor = cho_factor(a.T @ a, lower=True)
-    except LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
+    lower = cholesky(a.T @ a)
     clean = a @ g
     scale = math.sqrt(sigma2)
     rng = np.random.default_rng(int(seed))
@@ -124,7 +120,7 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
     while done < trials:
         count = min(_MC_CHUNK, trials - done)
         y = clean + rng.normal(0.0, scale, size=(count, idx.size))
-        g_hat = cho_solve(factor, a.T @ y.T)
+        g_hat = cho_solve(lower, a.T @ y.T)
         err = g_hat - g[:, None]
         sse += float(np.einsum("ij,ij->", err, err))
         done += count

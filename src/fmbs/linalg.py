@@ -1,15 +1,43 @@
 """Dense linear-algebra kernels used by the samplers and estimators.
 
-Everything operates on float64 numpy arrays and is a pure function of its
-inputs, so all routines are safe to call concurrently.  Solves go through
-Cholesky factorization; a full matrix inverse is never formed (only the
-inverse of a triangular factor, when accumulating a trace).
+Everything operates on float64 numpy arrays through ``numpy.linalg`` alone,
+so a process loads a single BLAS, and every routine is a pure function of
+its inputs.  The kernels:
+
+* ``cholesky`` -- the lower Cholesky factor of one symmetric
+  positive-definite matrix or of a stack of them, raising
+  NotPositiveDefinite when any member is not;
+* ``trace_inverse`` -- tr(A^{-1}) as the squared Frobenius norm of L^{-1}
+  for A = L L^T, over the last two axes, so one call scores a whole stack
+  of candidate submatrices;
+* ``block_inverse_update`` -- the bordered inverse after appending one
+  row/column, through its Schur complement;
+* ``cho_solve`` and ``pseudo_inverse_apply`` -- SPD solves, and least
+  squares through them, as two ``numpy.linalg.solve`` calls against the
+  Cholesky factor.
+
+A full inverse of a symmetric matrix is never formed; only the inverse of
+a triangular factor, when accumulating a trace.
 """
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import DegenerateSchur, DimensionError, NonFiniteInput, NotPositiveDefinite
+
+
+def _check_finite(a):
+    """Raise NonFiniteInput naming the first NaN or infinite entry of a."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return
+    pos = tuple(int(v) for v in np.argwhere(~finite)[0])
+    if a.ndim == 1:
+        where = f"vector entry at index {pos[0]}"
+    else:
+        where = f"matrix entry at row {pos[-2]}, column {pos[-1]}"
+        if a.ndim > 2:
+            where += f" of stack member {pos[:-2]}"
+    raise NonFiniteInput(f"{where} is {a[pos]}, not finite")
 
 
 def as_matrix(a):
@@ -23,18 +51,20 @@ def as_matrix(a):
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise DimensionError("matrix dimensions must be positive")
-    finite = np.isfinite(a)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise NonFiniteInput(f"matrix entry at row {i}, column {j} is {a[i, j]}, not finite")
+    _check_finite(a)
     return a
 
 
 def as_vector(x):
-    """Coerce to a 1-d float64 array, raising DimensionError otherwise."""
+    """Coerce to a finite 1-d float64 array.
+
+    Raises DimensionError for a wrong shape and NonFiniteInput, naming the
+    first offending index, for a NaN or infinite entry.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionError(f"expected a 1-d vector, got ndim={x.ndim}")
+    _check_finite(x)
     return x
 
 
@@ -43,21 +73,39 @@ def schur_threshold(q_ii):
     return 1e-12 * np.maximum(1.0, q_ii)
 
 
+def cholesky(a):
+    """Lower Cholesky factor of a symmetric positive-definite matrix.
+
+    Works over the last two axes, so a stack of matrices gives a stack of
+    factors.  Raises NotPositiveDefinite if any matrix is not positive
+    definite.
+    """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from None
+
+
+def cho_solve(lower, b):
+    """Solve (L L^T) x = b given the lower Cholesky factor L."""
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
+
+
 def trace_inverse(a):
     """Trace of the inverse of a symmetric positive-definite matrix.
 
-    Factors a = L L^T once and accumulates the squared Frobenius norm of
-    L^{-1}, which equals sum_k 1/lambda_k.
+    Factors a = L L^T and returns the squared Frobenius norm of L^{-1},
+    which equals sum_k 1/lambda_k.  A stack of matrices (any leading axes,
+    square last two axes) gives an array of traces, one per matrix; a
+    single matrix gives a float.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got {a.shape}")
-    try:
-        lower = cholesky(a, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-    linv = solve_triangular(lower, np.eye(a.shape[0]), lower=True, check_finite=False)
-    return float(np.einsum("ij,ij->", linv, linv))
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise DimensionError(f"expected a nonempty square matrix or a stack of them, got {a.shape}")
+    _check_finite(a)
+    linv = np.linalg.inv(cholesky(a))
+    traces = np.einsum("...ij,...ij->...", linv, linv)
+    return float(traces) if a.ndim == 2 else traces
 
 
 def block_inverse_update(q_inv, p, q_ii):
@@ -96,8 +144,4 @@ def pseudo_inverse_apply(a, y):
         raise DimensionError(f"observation length {y.shape[0]} != row count {a.shape[0]}")
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least as many rows as columns, got {a.shape}")
-    try:
-        factor = cho_factor(a.T @ a, lower=True)
-    except LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-    return cho_solve(factor, a.T @ y)
+    return cho_solve(cholesky(a.T @ a), a.T @ y)

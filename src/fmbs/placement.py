@@ -25,6 +25,8 @@ from .errors import BudgetError, DegenerateSchur, TooLarge
 from .linalg import as_matrix, schur_threshold, trace_inverse
 
 EXHAUSTIVE_LIMIT = 1_000_000
+# Float64 entries per stack of candidate submatrices in direct_greedy_select.
+_STACK_ENTRIES = 1 << 12
 
 
 def as_sample_set(s, n):
@@ -241,8 +243,11 @@ def direct_greedy_select(phi, m, mu):
 
     Same selection rule and tie-breaking as fmbs_select, but each candidate
     cost comes from forming the augmented principal submatrix and taking the
-    trace of its inverse.  Cubic per candidate; useful as a correctness
-    oracle and for small problems only.
+    trace of its inverse.  The candidates' submatrices are built in stacks
+    of at most _STACK_ENTRIES entries (one candidate per stack once a single
+    submatrix is larger) and each stack is factored by one trace_inverse
+    call.  Cubic per candidate; useful as a correctness oracle and for small
+    problems only.
     """
     phi = as_matrix(phi)
     n = phi.shape[0]
@@ -256,24 +261,34 @@ def direct_greedy_select(phi, m, mu):
     first = int(np.argmax(q_diag))
     selected = [first]
     trace = [1.0 / float(q_diag[first])]
-    candidates = [i for i in range(n) if i != first]
+    candidates = np.delete(np.arange(n), first)
     times = [time.perf_counter_ns() - start]
     while len(selected) < m:
         start = time.perf_counter_ns()
-        best_val = math.inf
-        best_i = -1
-        for i in candidates:
-            rows = selected + [i]
-            a = phi[rows]
-            q = a @ a.T
-            q[np.diag_indices_from(q)] += mu
-            val = trace_inverse(q)
-            if val < best_val:
-                best_val = val
-                best_i = i
-        selected.append(best_i)
-        candidates.remove(best_i)
-        trace.append(best_val)
+        t = len(selected)
+        a = phi[selected]
+        # every matrix of a stack shares the selected block; only the last
+        # row/column changes from candidate to candidate
+        batch = min(candidates.size, max(1, _STACK_ENTRIES // (t + 1) ** 2))
+        q = np.empty((batch, t + 1, t + 1))
+        q[:, :t, :t] = a @ a.T
+        q[:, np.arange(t), np.arange(t)] += mu
+        vals = np.empty(candidates.size)
+        for lo in range(0, candidates.size, batch):
+            block = candidates[lo : lo + batch]
+            stack = q[: block.size]
+            # one vector-matrix product per candidate, so a candidate's
+            # border does not depend on the stack it falls in
+            border = (phi[block, None, :] @ a.T)[:, 0]
+            stack[:, :t, t] = border
+            stack[:, t, :t] = border
+            stack[:, t, t] = q_diag[block]
+            vals[lo : lo + block.size] = trace_inverse(stack)
+        # argmin keeps the first minimum, so ties go to the smallest index
+        best = int(np.argmin(vals))
+        selected.append(int(candidates[best]))
+        candidates = np.delete(candidates, best)
+        trace.append(float(vals[best]))
         times.append(time.perf_counter_ns() - start)
     return PlacementResult(selected, trace, times, "greedy-direct")
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fmbs
 from fmbs import Model, ModelSpec, expected_mse, generate, load_matrix, save_matrix
 from fmbs.cli import main
 
@@ -82,6 +86,33 @@ def test_place_budget_validation_exits_2(phi3_file, tmp_path):
     code = run_cli(["place", "--matrix", str(phi3_file), "--budget", "9",
                     "--method", "fmbs", "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # the package runs on numpy alone, so a process loads a single BLAS
+    matrix = tmp_path / "phi.bin"
+    save_matrix(matrix, generate(ModelSpec(Model.GAUSSIAN, 60, 5, 1)))
+    argv = ["place", "--matrix", str(matrix), "--budget", "8", "--method", "fmbs",
+            "--out", str(tmp_path / "sel.json")]
+    code = f"""
+import json
+import sys
+import fmbs.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+after_import = scipy_modules()
+status = fmbs.cli.main({argv!r})
+print(json.dumps([after_import, status, scipy_modules()]))
+"""
+    src = os.path.dirname(os.path.dirname(fmbs.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], 0, []]
+    assert json.loads((tmp_path / "sel.json").read_text())["method"] == "fmbs"
 
 
 def test_place_bad_flags_exit_2(tmp_path):

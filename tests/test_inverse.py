@@ -5,13 +5,16 @@ import pytest
 
 from fmbs import (
     DimensionError,
+    FmbsError,
     NoiseModel,
+    NonFiniteInput,
     NotPositiveDefinite,
     build_sampling_matrix,
     expected_mse,
     ls_estimate,
     monte_carlo_mse,
     observe,
+    pseudo_inverse_apply,
     shifted_normal_objective,
 )
 
@@ -113,6 +116,24 @@ def test_observe_validation():
         observe(PHI3, np.zeros(3), [0], NoiseModel(0.0, 0))
     with pytest.raises(ValueError):
         NoiseModel(sigma2=-1.0, seed=0)
+
+
+NONFINITE_VECTOR_CALLS = {
+    "pseudo_inverse_apply": lambda v: pseudo_inverse_apply(PHI3, v),
+    "ls_estimate": lambda v: ls_estimate(PHI3, [0, 1, 2], v),
+    "observe": lambda v: observe(PHI3, v[:2], [0, 1, 2], NoiseModel(0.5, 3)),
+    "monte_carlo_mse": lambda v: monte_carlo_mse(PHI3, [0, 1, 2], v[:2], 1.0, trials=10, seed=4),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(NONFINITE_VECTOR_CALLS))
+def test_nonfinite_vector_rejected(entry, value):
+    # y for the solvers, g for observe and monte_carlo_mse; entry 1 is bad
+    vector = np.array([0.5, value, -1.0])
+    with pytest.raises(NonFiniteInput, match="index 1") as excinfo:
+        NONFINITE_VECTOR_CALLS[entry](vector)
+    assert isinstance(excinfo.value, FmbsError) and isinstance(excinfo.value, ValueError)
 
 
 def test_ls_estimate_noiseless_recovery():

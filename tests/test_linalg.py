@@ -4,6 +4,7 @@ import pytest
 from fmbs import (
     DegenerateSchur,
     DimensionError,
+    NonFiniteInput,
     NotPositiveDefinite,
     block_inverse_update,
     pseudo_inverse_apply,
@@ -55,6 +56,37 @@ def test_trace_inverse_matches_eigenvalues():
 def test_trace_inverse_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         trace_inverse([[1.0, 2.0], [2.0, 1.0]])
+
+
+def test_trace_inverse_stack_matches_single_calls():
+    rng = np.random.default_rng(6)
+    for side in (1, 3, 8, 25):
+        stack = np.array([random_spd(rng, side, cond=1e4) for _ in range(6)])
+        stack = stack.reshape(2, 3, side, side)
+        traces = trace_inverse(stack)
+        assert traces.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                single = trace_inverse(stack[i, j])
+                assert isinstance(single, float)
+                assert abs(traces[i, j] - single) <= 1e-13 * single
+
+
+def test_trace_inverse_stack_rejects_bad_member():
+    rng = np.random.default_rng(7)
+    stack = np.array([random_spd(rng, 4) for _ in range(5)])
+    stack[3, 0, 0] = -1.0
+    with pytest.raises(NotPositiveDefinite):
+        trace_inverse(stack)
+    stack[3, 0, 0] = np.inf
+    with pytest.raises(NonFiniteInput, match=r"row 0, column 0 of stack member \(3,\)"):
+        trace_inverse(stack)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (3, 2), (4, 3, 2), (2, 2, 3), (0, 0)], ids=str)
+def test_trace_inverse_rejects_bad_shapes(shape):
+    with pytest.raises(DimensionError):
+        trace_inverse(np.ones(shape))
 
 
 def test_block_inverse_update_block_diagonal():

@@ -177,6 +177,36 @@ def test_direct_greedy_identity():
     assert direct_greedy_select(np.eye(5), 3, MU).indices == [0, 1, 2]
 
 
+@pytest.mark.parametrize("entries", [1, 2**24])
+def test_direct_greedy_stack_size_invisible(monkeypatch, entries):
+    # one candidate per stack and every candidate in one stack both give
+    # the default run's picks and traces, before and past depth K
+    import fmbs.placement as placement
+
+    phi = np.random.default_rng(21).standard_normal((40, 5))
+    baseline = direct_greedy_select(phi, 12, MU)
+    monkeypatch.setattr(placement, "_STACK_ENTRIES", entries)
+    stacked = direct_greedy_select(phi, 12, MU)
+    assert stacked.indices == baseline.indices
+    for a, b in zip(stacked.objective_trace, baseline.objective_trace):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("entries", [1, 2**24])
+def test_direct_greedy_duplicate_rows_tie_break(monkeypatch, entries):
+    import fmbs.placement as placement
+
+    monkeypatch.setattr(placement, "_STACK_ENTRIES", entries)
+    # rows 1 and 4 are identical and tie as the best second pick
+    phi = np.array([[3.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.5], [0.0, 1.0]])
+    assert direct_greedy_select(phi, 2, MU).indices == [0, 1]
+    # up to depth K, a copy of every row appended after the originals
+    # never wins a tie
+    base = np.random.default_rng(22).standard_normal((15, 6))
+    expected = direct_greedy_select(base, 6, MU).indices
+    assert direct_greedy_select(np.vstack([base, base]), 6, MU).indices == expected
+
+
 def test_oracle_equivalence_sample():
     # small pre-run of the full acceptance sweep
     for seed in range(20):
