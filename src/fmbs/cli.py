@@ -87,8 +87,6 @@ def _cmd_place(args, parser):
     n, k = phi.shape
     if not 1 <= args.budget <= n:
         parser.error(f"--budget must be in [1, {n}] for this matrix, got {args.budget}")
-    if not args.mu > 0:
-        parser.error(f"--mu must be positive, got {args.mu}")
     start = time.perf_counter()
     try:
         result = _select(args.method, phi, args.budget, args.mu, args.seed)
@@ -122,20 +120,16 @@ def _cmd_bench(args, parser):
     except ValueError as exc:
         parser.error(str(exc))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        parser.error("--methods must name at least one method")
+    if not methods or len(set(methods)) != len(methods):
+        parser.error(f"--methods must name distinct methods, got {args.methods!r}")
     for method in methods:
         if method not in METHODS:
             parser.error(f"unknown method {method!r}, choose from {', '.join(METHODS)}")
-    if args.model not in (1, 2):
-        parser.error(f"--model must be 1 or 2, got {args.model}")
     if args.k < 1 or args.n < args.k:
         parser.error(f"need --n >= --k >= 1, got n={args.n}, k={args.k}")
     for m in budgets:
         if not args.k <= m <= args.n:
             parser.error(f"every budget must satisfy k <= m <= n, got m={m}")
-    if not args.mu > 0:
-        parser.error(f"--mu must be positive, got {args.mu}")
     if not args.sigma2 >= 0:
         parser.error(f"--sigma2 must be nonnegative, got {args.sigma2}")
     if args.trials < 1:
@@ -212,10 +206,6 @@ def _cmd_scaling(args, parser):
         values = _parse_budgets(args.values)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.method not in METHODS:
-        parser.error(f"unknown method {args.method!r}")
-    if not args.mu > 0:
-        parser.error(f"--mu must be positive, got {args.mu}")
     if args.repeats < 1:
         parser.error(f"--repeats must be at least 1, got {args.repeats}")
 
@@ -276,6 +266,19 @@ def _cmd_scaling(args, parser):
     return 0
 
 
+def _checked_float(ok, what):
+    """Argparse type: a float for which ok(value) holds; NaN fails every bound."""
+
+    def parse(text):
+        value = float(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{what}, got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
+
+
 def _add_common_seed(sub):
     sub.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
 
@@ -286,6 +289,7 @@ def build_parser():
         description="Greedy sensor placement benchmark harness for linear inverse problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    mu_type = _checked_float(lambda v: 0.0 < v < np.inf, "must be positive and finite")
 
     gen = sub.add_parser("gen", help="write a seeded random measurement matrix")
     gen.add_argument("--model", type=int, required=True, choices=(1, 2),
@@ -301,7 +305,7 @@ def build_parser():
     place = sub.add_parser("place", help="run one selection method on a stored matrix")
     place.add_argument("--matrix", required=True, help="matrix file (binary or csv)")
     place.add_argument("--budget", type=int, required=True, help="number of rows to select")
-    place.add_argument("--mu", type=float, default=1e-4,
+    place.add_argument("--mu", type=mu_type, default=1e-4,
                        help="positive objective shift (default 1e-4)")
     place.add_argument("--method", required=True, choices=METHODS)
     _add_common_seed(place)
@@ -316,7 +320,7 @@ def build_parser():
                        help="A:B:STEP (both ends included when aligned) or a single integer")
     bench.add_argument("--trials", type=int, default=10,
                        help="independent matrix draws per cell (default 10)")
-    bench.add_argument("--mu", type=float, default=1e-4)
+    bench.add_argument("--mu", type=mu_type, default=1e-4)
     bench.add_argument("--sigma2", type=float, default=1.0,
                        help="noise variance in the recorded MSE (default 1)")
     _add_common_seed(bench)
@@ -339,10 +343,11 @@ def build_parser():
                          help="fixed budget for --sweep n (default: fraction of n)")
     scaling.add_argument("--k", type=int, default=None,
                          help="parameter count (default: matches the budget)")
-    scaling.add_argument("--fraction", type=float, default=0.1,
+    scaling.add_argument("--fraction", default=0.1,
+                         type=_checked_float(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
                          help="budget fraction of n for --sweep n without --m (default 0.1)")
     scaling.add_argument("--method", default="fmbs", choices=METHODS)
-    scaling.add_argument("--mu", type=float, default=1e-4)
+    scaling.add_argument("--mu", type=mu_type, default=1e-4)
     _add_common_seed(scaling)
     scaling.add_argument("--repeats", type=int, default=3,
                          help="timed repeats per point (default 3)")

@@ -1,12 +1,12 @@
 """Greedy sample selection minimizing the expected least-squares recovery error.
 
 The fast sampler (method id ``fmbs``) scores every unselected row i through
-three warm-started quantities: the border vector p_i between row i and the
-selected rows inside Q = Phi Phi^T + mu I, the solve r_i = Q_S^{-1} p_i
-against the selected principal submatrix, and the Schur complement
-h_i = q_ii - p_i . r_i that row i would create if appended.  All three are
+the solve r_i = Q_S^{-1} p_i of its border vector p_i against the selected
+principal submatrix of Q = Phi Phi^T + mu I, and the Schur complement
+h_i = q_ii - p_i . r_i that row i would create if appended.  Both are
 advanced across greedy steps with O(|S|) vector arithmetic instead of fresh
-factorizations, so a full run at budget M costs about O(N M^2).
+factorizations, so a full run at budget M costs about O(N M^2); p_i itself
+is never stored.
 
 ``direct_greedy_select`` makes the same greedy decisions but evaluates every
 candidate by explicit factorization; it is deliberately kept as a slow,
@@ -31,21 +31,30 @@ _STACK_ENTRIES = 1 << 12
 
 def as_sample_set(s, n):
     """Validate a sample set: distinct indices in [0, n), selection order kept."""
-    idx = np.asarray(list(s), dtype=np.intp)
+    idx = np.asarray(list(s))
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("sample set must be a nonempty sequence of indices")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"sample indices must be integers, got dtype {idx.dtype}")
     if idx.min() < 0 or idx.max() >= n:
         raise IndexError(f"sample index out of range for {n} rows")
     if np.unique(idx).size != idx.size:
         raise ValueError("sample indices must be distinct")
-    return idx
+    return idx.astype(np.intp, copy=False)
 
 
 def _check_mu(mu):
     mu = float(mu)
-    if not mu > 0.0:
-        raise ValueError(f"shift mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"shift mu must be positive and finite, got {mu}")
     return mu
+
+
+def _check_budget(m, n):
+    m = int(m)
+    if m < 1 or m > n:
+        raise BudgetError(f"budget must be in [1, {n}], got {m}")
+    return m
 
 
 def shifted_normal_objective(phi, s, mu):
@@ -108,47 +117,42 @@ class GreedyState:
     and immediately selects argmax_i q_ii (smallest index on ties).  Each
     subsequent step() advances every candidate by one level,
 
-        p_i <- [p_i ; phi_istar . phi_i]
         r_i <- [r_i + (alpha - beta) r* ; beta - alpha]
-        h_i  =  q_ii - p_i . r_i
+        h_i <- h_i - h* (alpha - beta)^2
 
-    with alpha = (p_i . r*) / h*, beta = (phi_istar . phi_i) / h*, where
-    (r*, h*) were carried over from the winning candidate of the previous
-    step, then accepts the candidate with the smallest cost
+    with alpha = (p* . r_i) / h*, beta = (phi_istar . phi_i) / h*, where
+    (p*, r*, h*) belong to the winning candidate of the previous step, then
+    accepts the candidate with the smallest cost
 
         cost_i = (|r_i|^2 + 1) / h_i
 
     breaking ties toward the smallest index.  The accepted increment is
     exactly the growth of the submatrix objective, so the running trace
-    stays consistent with from-scratch evaluation.
+    stays consistent with from-scratch evaluation.  Only r is stored per
+    candidate: p* is a slice of the step's gram row phi . phi_istar.
     """
 
     def __init__(self, phi, budget, mu):
         self.phi = np.ascontiguousarray(as_matrix(phi))
         n = self.phi.shape[0]
-        budget = int(budget)
-        if budget < 1 or budget > n:
-            raise BudgetError(f"budget must be in [1, {n}], got {budget}")
+        self.budget = _check_budget(budget, n)
         self.mu = _check_mu(mu)
-        self.budget = budget
         self.q_diag = np.einsum("ij,ij->i", self.phi, self.phi) + self.mu
         self._floor = schur_threshold(self.q_diag)
-        # Row t of _p/_r holds the entry appended at greedy depth t; one
-        # column per row of phi.  Columns of already-selected rows go stale
-        # but are never read when picking a winner.
-        self._p = np.zeros((budget, n))
-        self._r = np.zeros((budget, n))
-        self._h = np.full(n, np.nan)
-        self._rnorm2 = np.full(n, np.nan)
-        self._cost = np.full(n, np.nan)
+        # Row t of _r holds the entry appended at greedy depth t, one column
+        # per row of phi; columns of selected rows go stale and are never
+        # read.  Every candidate starts at r = [], h = q_ii, so the first
+        # step() is the general update with alpha = 0.
+        self._r = np.zeros((self.budget, n))
+        self._h = self.q_diag.copy()
+        self._rnorm2 = np.zeros(n)
         self._candidate = np.ones(n, dtype=bool)
         first = int(np.argmax(self.q_diag))
         self.selected = [first]
         self._candidate[first] = False
-        self.chosen_p = np.empty(0)
         self.chosen_r = np.empty(0)
-        self.chosen_h = math.nan
-        self.objective_trace = [1.0 / float(self.q_diag[first])]
+        self.chosen_h = float(self.q_diag[first])
+        self.objective_trace = [1.0 / self.chosen_h]
 
     @property
     def depth(self):
@@ -158,6 +162,11 @@ class GreedyState:
     @property
     def complete(self):
         return len(self.selected) >= self.budget
+
+    @property
+    def chosen_p(self):
+        """Border vector of the last winner against the rows selected before it."""
+        return self.phi[self.selected[:-1]] @ self.phi[self.selected[-1]]
 
     def candidate_indices(self):
         """Unselected row indices, ascending."""
@@ -171,12 +180,13 @@ class GreedyState:
         t = self.depth
         if t == 0:
             raise ValueError("no committed candidate data before the first step")
+        h = float(self._h[i])
         return CandidateState(
             i,
-            self._p[:t, i].copy(),
+            self.phi[self.selected[:t]] @ self.phi[i],
             self._r[:t, i].copy(),
-            float(self._h[i]),
-            float(self._cost[i]),
+            h,
+            (float(self._rnorm2[i]) + 1.0) / h,
         )
 
     def step(self):
@@ -184,29 +194,20 @@ class GreedyState:
         if self.complete:
             raise BudgetError("selection already complete")
         t = len(self.selected)
-        istar = self.selected[-1]
-        gram = self.phi @ self.phi[istar]
-        if t == 1:
-            self._p[0] = gram
-            self._r[0] = gram / float(self.q_diag[istar])
-            self._h = self.q_diag - gram * self._r[0]
-            self._rnorm2 = self._r[0] ** 2
-        else:
-            # p_i . r* equals chosen_p . r_i by symmetry of the solve, so the
-            # whole update reads only the r block; each candidate's p.r grows
-            # by exactly h* delta^2 and |r|^2 by 2 delta (r . r*) +
-            # delta^2 (|r*|^2 + 1), with delta = alpha - beta, so h and |r|^2
-            # advance without re-reducing the stored vectors
-            alpha = (self.chosen_p @ self._r[: t - 1]) / self.chosen_h
-            beta = gram / self.chosen_h
-            delta = alpha - beta
-            rho = self.chosen_r @ self._r[: t - 1]
-            self._r[: t - 1] += np.outer(self.chosen_r, delta)
-            self._r[t - 1] = -delta
-            self._p[t - 1] = gram
-            self._h = self._h - self.chosen_h * delta**2
-            star_norm2 = float(self.chosen_r @ self.chosen_r)
-            self._rnorm2 = self._rnorm2 + 2.0 * delta * rho + (star_norm2 + 1.0) * delta**2
+        gram = self.phi @ self.phi[self.selected[-1]]
+        # p* is gram at the earlier selected rows, and p* . r_i equals
+        # p_i . r* by symmetry of the solve, so the update reads only the r
+        # block; each candidate's p.r grows by exactly h* delta^2 and |r|^2
+        # by 2 delta (r . r*) + delta^2 (|r*|^2 + 1), with delta =
+        # alpha - beta, so h and |r|^2 advance without re-reducing r
+        alpha = (gram[self.selected[:-1]] @ self._r[: t - 1]) / self.chosen_h
+        delta = alpha - gram / self.chosen_h
+        rho = self.chosen_r @ self._r[: t - 1]
+        self._r[: t - 1] += np.outer(self.chosen_r, delta)
+        self._r[t - 1] = -delta
+        self._h = self._h - self.chosen_h * delta**2
+        star_norm2 = float(self.chosen_r @ self.chosen_r)
+        self._rnorm2 = self._rnorm2 + 2.0 * delta * rho + (star_norm2 + 1.0) * delta**2
         h = self._h
         bad = self._candidate & ~(h > self._floor)
         if bad.any():
@@ -216,8 +217,6 @@ class GreedyState:
             cost = (self._rnorm2 + 1.0) / h
         cost[~self._candidate] = np.inf
         winner = int(np.argmin(cost))
-        self._cost = cost
-        self.chosen_p = self._p[:t, winner].copy()
         self.chosen_r = self._r[:t, winner].copy()
         self.chosen_h = float(h[winner])
         self.objective_trace.append(self.objective_trace[-1] + float(cost[winner]))
@@ -251,9 +250,7 @@ def direct_greedy_select(phi, m, mu):
     """
     phi = as_matrix(phi)
     n = phi.shape[0]
-    m = int(m)
-    if m < 1 or m > n:
-        raise BudgetError(f"budget must be in [1, {n}], got {m}")
+    m = _check_budget(m, n)
     mu = _check_mu(mu)
     start = time.perf_counter_ns()
     q_diag = np.einsum("ij,ij->i", phi, phi) + mu
@@ -301,9 +298,7 @@ def exhaustive_select(phi, m, mu):
     """
     phi = as_matrix(phi)
     n = phi.shape[0]
-    m = int(m)
-    if m < 1 or m > n:
-        raise BudgetError(f"budget must be in [1, {n}], got {m}")
+    m = _check_budget(m, n)
     mu = _check_mu(mu)
     total = math.comb(n, m)
     if total > EXHAUSTIVE_LIMIT:
@@ -326,9 +321,7 @@ def exhaustive_select(phi, m, mu):
 def random_select(n, m, seed):
     """Draw m distinct indices uniformly without replacement; fixed per seed."""
     n = int(n)
-    m = int(m)
-    if m < 1 or m > n:
-        raise BudgetError(f"budget must be in [1, {n}], got {m}")
+    m = _check_budget(m, n)
     rng = np.random.default_rng(int(seed))
     idx = rng.choice(n, size=m, replace=False)
     return PlacementResult([int(i) for i in idx], [], [], "random")

@@ -11,6 +11,8 @@ from fmbs import Model, ModelSpec, expected_mse, generate, load_matrix, save_mat
 from fmbs.cli import main
 
 PHI3 = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+# --mu values every subcommand must refuse with exit 2
+BAD_MU = ("inf", "nan", "0", "-1e-4")
 
 
 def run_cli(argv):
@@ -120,6 +122,12 @@ def test_place_bad_flags_exit_2(tmp_path):
                     "--out", str(tmp_path / "x.json")]) == 2  # missing --matrix
     assert run_cli(["place", "--matrix", str(tmp_path / "missing.bin"), "--budget", "1",
                     "--method", "fmbs", "--out", str(tmp_path / "x.json")]) == 2
+    matrix = tmp_path / "phi3.csv"
+    save_matrix(matrix, PHI3, fmt="csv")
+    for bad in BAD_MU:
+        assert run_cli(["place", "--matrix", str(matrix), "--budget", "2", "--method", "fmbs",
+                        "--mu", bad, "--out", str(tmp_path / "x.json")]) == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_place_solver_failure_exits_3(tmp_path):
@@ -198,6 +206,11 @@ def test_bench_validation_exit_2(tmp_path):
     assert run_cli(base + ["--budgets", "oops"]) == 2
     assert run_cli(["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5",
                     "--trials", "1", "--methods", "warp", "--out", out]) == 2
+    assert run_cli(["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5",
+                    "--trials", "1", "--methods", "fmbs,random,fmbs", "--out", out]) == 2
+    for bad in BAD_MU:
+        assert run_cli(base + ["--budgets", "5", "--mu", bad]) == 2
+    assert not os.path.exists(out)
 
 
 def test_bench_single_budget_and_exhaustive(tmp_path):
@@ -253,6 +266,13 @@ def test_scaling_validation(tmp_path):
     assert run_cli(["scaling", "--sweep", "m", "--values", "2:4:2", "--out", out]) == 2  # no --n
     assert run_cli(["scaling", "--sweep", "m", "--n", "10", "--values", "8:20:4",
                     "--out", out]) == 2  # m exceeds n
+    for bad in BAD_MU:
+        assert run_cli(["scaling", "--sweep", "m", "--n", "20", "--values", "3",
+                        "--repeats", "1", "--mu", bad, "--out", out]) == 2
+    for bad in ("nan", "-1", "0", "1.5", "inf"):
+        assert run_cli(["scaling", "--sweep", "n", "--values", "20", "--fraction", bad,
+                        "--repeats", "1", "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_help_and_missing_subcommand():

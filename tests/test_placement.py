@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fmbs import (
     GreedyState,
     NonFiniteInput,
     TooLarge,
+    as_sample_set,
     direct_greedy_select,
     exhaustive_select,
     expected_mse,
@@ -78,6 +81,13 @@ def test_objective_validation():
         submatrix_objective(PHI3, [], MU)
     with pytest.raises(ValueError):
         shifted_normal_objective(PHI3, [0], 0.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        submatrix_objective(PHI3, [0], np.inf)
+    # non-integer indices are refused, not truncated or read as a mask
+    with pytest.raises(ValueError, match="must be integers"):
+        expected_mse(np.eye(6, 2), [0.5, 1.7, 3.2, 4.9], 1.0)
+    with pytest.raises(ValueError, match="must be integers"):
+        as_sample_set([True, False, True], 3)
 
 
 NONFINITE_CALLS = {
@@ -98,6 +108,17 @@ def test_nonfinite_input_rejected(entry, value):
     with pytest.raises(NonFiniteInput, match="row 5, column 1") as excinfo:
         NONFINITE_CALLS[entry](phi)
     assert isinstance(excinfo.value, FmbsError) and isinstance(excinfo.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [fmbs_select, direct_greedy_select, exhaustive_select, GreedyState],
+    ids=lambda f: f.__name__,
+)
+def test_infinite_mu_rejected(call):
+    phi = np.random.default_rng(23).standard_normal((8, 3))
+    with pytest.raises(ValueError, match="positive and finite"):
+        call(phi, 4, np.inf)
 
 
 def test_fmbs_worked_example():
@@ -293,6 +314,53 @@ def test_warm_start_drift_deep_run():
             h_direct = float(q_diag[i] - (a @ phi[i]) @ r_direct)
             worst = max(worst, abs(cand.h - h_direct) / abs(h_direct))
     assert worst <= 1e-8
+
+
+def test_greedy_state_memory_is_one_block():
+    # the r block is the only budget x N array; with the temporary of its
+    # rank-1 update the peak stays near two blocks
+    n, k, m = 20000, 5, 100
+    phi = np.random.default_rng(25).standard_normal((n, k))
+    tracemalloc.start()
+    try:
+        fmbs_select(phi, m, MU)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m * n * 8
+
+
+def exact_increments(phi, prefix, mu):
+    """Growth of the submatrix objective when each row is appended to prefix.
+
+    Independent of the warm start: up to depth K a fresh solve against Q_S
+    gives (|r_i|^2 + 1) / h_i; past it, tr((A A^T + mu I)^-1) equals
+    (t - K) / mu + tr((A^T A + mu I)^-1), so appending row i adds 1/mu and
+    removes the Sherman-Morrison decrease of the K x K trace.
+    """
+    t, k = len(prefix), phi.shape[1]
+    a = phi[prefix]
+    if t <= k:
+        p = a @ phi.T
+        r = np.linalg.solve(a @ a.T + mu * np.eye(t), p)
+        h = np.einsum("ij,ij->i", phi, phi) + mu - np.einsum("ij,ij->j", p, r)
+        return (np.einsum("ij,ij->j", r, r) + 1.0) / h
+    x = phi @ np.linalg.inv(a.T @ a + mu * np.eye(k))
+    return 1.0 / mu - np.einsum("ij,ij->i", x, x) / (1.0 + np.einsum("ij,ij->i", x, phi))
+
+
+@pytest.mark.parametrize("n,k,m", [(500, 20, 60), (3000, 10, 200)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fmbs_picks_score_as_exact_best(n, k, m, seed):
+    phi = np.random.default_rng(seed).standard_normal((n, k))
+    indices = fmbs_select(phi, m, MU).indices
+    free = np.ones(n, dtype=bool)
+    for t, pick in enumerate(indices):
+        cost = np.where(free, exact_increments(phi, indices[:t], MU), np.inf)
+        best = float(cost.min())
+        assert cost[pick] - best <= 1e-9 * best, (t, pick)
+        free[pick] = False
+    assert direct_greedy_select(phi, k + 1, MU).indices == indices[: k + 1]
 
 
 def test_greedy_state_access_guards():
