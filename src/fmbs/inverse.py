@@ -18,6 +18,13 @@ from .placement import as_sample_set
 _MC_CHUNK = 32768
 
 
+def _check_sigma2(sigma2):
+    sigma2 = float(sigma2)
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"noise variance must be nonnegative and finite, got {sigma2}")
+    return sigma2
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """I.i.d. zero-mean Gaussian observation noise with variance sigma2."""
@@ -26,8 +33,7 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if not self.sigma2 >= 0.0:
-            raise ValueError(f"noise variance must be nonnegative, got {self.sigma2}")
+        _check_sigma2(self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -81,9 +87,7 @@ def expected_mse(phi, s, sigma2):
     gathered rows, i.e. sigma2 * sum_k 1/lambda_k.
     """
     phi = as_matrix(phi)
-    sigma2 = float(sigma2)
-    if not sigma2 >= 0.0:
-        raise ValueError(f"noise variance must be nonnegative, got {sigma2}")
+    sigma2 = _check_sigma2(sigma2)
     idx = as_sample_set(s, phi.shape[0])
     a = phi[idx]
     if a.shape[0] < a.shape[1]:
@@ -101,9 +105,7 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
     g = as_vector(g)
     if g.shape[0] != phi.shape[1]:
         raise DimensionError(f"parameter length {g.shape[0]} != column count {phi.shape[1]}")
-    sigma2 = float(sigma2)
-    if not sigma2 >= 0.0:
-        raise ValueError(f"noise variance must be nonnegative, got {sigma2}")
+    sigma2 = _check_sigma2(sigma2)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

@@ -27,6 +27,8 @@ from .linalg import as_matrix, schur_threshold, trace_inverse
 EXHAUSTIVE_LIMIT = 1_000_000
 # Float64 entries per stack of candidate submatrices in direct_greedy_select.
 _STACK_ENTRIES = 1 << 12
+# Float64 entries per row block of GreedyState's in-place rank-1 update.
+_UPDATE_ENTRIES = 1 << 16
 
 
 def as_sample_set(s, n):
@@ -144,6 +146,9 @@ class GreedyState:
         # read.  Every candidate starts at r = [], h = q_ii, so the first
         # step() is the general update with alpha = 0.
         self._r = np.zeros((self.budget, n))
+        # the rank-1 update of _r goes through this scratch one row block at
+        # a time (one row per block once a row exceeds _UPDATE_ENTRIES)
+        self._scratch = np.empty((min(self.budget, max(1, _UPDATE_ENTRIES // n)), n))
         self._h = self.q_diag.copy()
         self._rnorm2 = np.zeros(n)
         self._candidate = np.ones(n, dtype=bool)
@@ -203,11 +208,21 @@ class GreedyState:
         alpha = (gram[self.selected[:-1]] @ self._r[: t - 1]) / self.chosen_h
         delta = alpha - gram / self.chosen_h
         rho = self.chosen_r @ self._r[: t - 1]
-        self._r[: t - 1] += np.outer(self.chosen_r, delta)
+        # r += outer(r*, delta) in place: the same products and sums as
+        # np.outer, without a temporary as large as the r block
+        rows = self._scratch.shape[0]
+        for lo in range(0, t - 1, rows):
+            hi = min(lo + rows, t - 1)
+            block = self._scratch[: hi - lo]
+            np.multiply(self.chosen_r[lo:hi, None], delta, out=block)
+            self._r[lo:hi] += block
         self._r[t - 1] = -delta
-        self._h = self._h - self.chosen_h * delta**2
+        delta2 = delta**2
+        self._h -= self.chosen_h * delta2
         star_norm2 = float(self.chosen_r @ self.chosen_r)
-        self._rnorm2 = self._rnorm2 + 2.0 * delta * rho + (star_norm2 + 1.0) * delta**2
+        # two in-place adds keep the summation order of a + b + c
+        self._rnorm2 += 2.0 * delta * rho
+        self._rnorm2 += (star_norm2 + 1.0) * delta2
         h = self._h
         bad = self._candidate & ~(h > self._floor)
         if bad.any():

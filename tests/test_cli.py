@@ -177,6 +177,54 @@ def test_bench_rows_and_audit(tmp_path):
         assert abs(run["mse"] - fresh) <= 1e-9 * max(1.0, abs(fresh))
 
 
+def test_bench_shares_greedy_runs(monkeypatch, tmp_path):
+    # fmbs and greedy-direct run once per trial to the largest budget; every
+    # budget's row equals a separate run to that budget, and its seconds
+    # (cumulative step time) grow with m
+    import fmbs.cli as cli
+    from fmbs.placement import direct_greedy_select, fmbs_select
+
+    calls = {"fmbs": 0, "greedy-direct": 0}
+
+    def counted(name, select):
+        def run(*args):
+            calls[name] += 1
+            return select(*args)
+
+        return run
+
+    monkeypatch.setattr(cli, "fmbs_select", counted("fmbs", fmbs_select))
+    monkeypatch.setattr(cli, "direct_greedy_select", counted("greedy-direct", direct_greedy_select))
+    out, details = tmp_path / "bench.csv", tmp_path / "details.json"
+    code = run_cli(["bench", "--model", "1", "--n", "40", "--k", "3",
+                    "--budgets", "4:12:4", "--trials", "2", "--seed", "5",
+                    "--methods", "greedy-direct,random,fmbs",
+                    "--out", str(out), "--details-out", str(details)])
+    assert code == 0
+    assert calls == {"fmbs": 2, "greedy-direct": 2}
+
+    separate = {"fmbs": fmbs_select, "greedy-direct": direct_greedy_select}
+    runs = json.loads(details.read_text())["runs"]
+    checked = 0
+    for run in runs:
+        if run["method"] in separate:
+            phi = generate(ModelSpec(Model.GAUSSIAN, 40, 3, cli._child_seed(5, 0, run["trial"])))
+            indices = separate[run["method"]](phi, run["m"], 1e-4).indices
+            assert run["indices"] == indices
+            assert run["mse"] == expected_mse(phi, indices, 1.0)
+            checked += 1
+    assert checked == 2 * 3 * 2  # methods x budgets x trials
+
+    seconds = {}
+    for line in out.read_text().strip().splitlines()[1:]:
+        method, m, trial, _, sec = line.split(",")
+        seconds.setdefault((method, int(trial)), []).append((int(m), float(sec)))
+    for (method, _), series in seconds.items():
+        if method in separate:
+            values = [sec for _, sec in sorted(series)]
+            assert all(a < b for a, b in zip(values, values[1:])), (method, values)
+
+
 def test_bench_model2_with_greedy(tmp_path):
     # random selection on coin-flip matrices can gather rank-deficient rows
     # (a legitimate exit-3 failure); the greedy sampler avoids them
@@ -210,6 +258,8 @@ def test_bench_validation_exit_2(tmp_path):
                     "--trials", "1", "--methods", "fmbs,random,fmbs", "--out", out]) == 2
     for bad in BAD_MU:
         assert run_cli(base + ["--budgets", "5", "--mu", bad]) == 2
+    for bad in ("inf", "nan", "-1"):
+        assert run_cli(base + ["--budgets", "5", "--sigma2", bad]) == 2
     assert not os.path.exists(out)
 
 

@@ -136,6 +136,20 @@ def test_nonfinite_vector_rejected(entry, value):
     assert isinstance(excinfo.value, FmbsError) and isinstance(excinfo.value, ValueError)
 
 
+SIGMA2_CALLS = {
+    "NoiseModel": lambda v: NoiseModel(v, 0),
+    "expected_mse": lambda v: expected_mse(PHI3, [0, 1, 2], v),
+    "monte_carlo_mse": lambda v: monte_carlo_mse(PHI3, [0, 1, 2], np.ones(2), v, trials=10, seed=4),
+}
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("entry", sorted(SIGMA2_CALLS))
+def test_bad_sigma2_rejected(entry, value):
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        SIGMA2_CALLS[entry](value)
+
+
 def test_ls_estimate_noiseless_recovery():
     rng = np.random.default_rng(2)
     phi = rng.standard_normal((12, 3))

@@ -317,8 +317,8 @@ def test_warm_start_drift_deep_run():
 
 
 def test_greedy_state_memory_is_one_block():
-    # the r block is the only budget x N array; with the temporary of its
-    # rank-1 update the peak stays near two blocks
+    # the r block is the only budget x N array, and its rank-1 update runs
+    # in place through a scratch of at most _UPDATE_ENTRIES entries
     n, k, m = 20000, 5, 100
     phi = np.random.default_rng(25).standard_normal((n, k))
     tracemalloc.start()
@@ -327,7 +327,21 @@ def test_greedy_state_memory_is_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * m * n * 8
+    assert peak < 1.25 * m * n * 8
+
+
+@pytest.mark.parametrize("entries", [1, 2**30])
+def test_fmbs_update_block_size_invisible(monkeypatch, entries):
+    # one row per update block and the whole r block at once both give the
+    # default run's picks and bit-identical traces, before and past depth K
+    import fmbs.placement as placement
+
+    phi = np.random.default_rng(26).standard_normal((3000, 10))
+    baseline = fmbs_select(phi, 200, MU)
+    monkeypatch.setattr(placement, "_UPDATE_ENTRIES", entries)
+    blocked = fmbs_select(phi, 200, MU)
+    assert blocked.indices == baseline.indices
+    assert [x.hex() for x in blocked.objective_trace] == [x.hex() for x in baseline.objective_trace]
 
 
 def exact_increments(phi, prefix, mu):
