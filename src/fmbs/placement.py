@@ -9,9 +9,14 @@ factorizations, so a full run at budget M costs about O(N M^2); p_i itself
 is never stored.
 
 ``direct_greedy_select`` makes the same greedy decisions but evaluates every
-candidate by explicit factorization; it is deliberately kept as a slow,
-independent oracle for the fast path.  ``exhaustive_select`` and
-``random_select`` provide the optimal and the weak reference baselines.
+candidate by explicit factorization, at O(min(t+1, K)^3) per candidate:
+the bordered (t+1) x (t+1) submatrix up to depth K, and past it the K x K
+shifted normal matrix, whose trace of inverse differs from the submatrix
+objective by the constant (t + 1 - K)/mu.  The K x K form keeps the 1/mu
+term out of the factorization, so the oracle stays well-conditioned at any
+mu > 0.  It is deliberately kept independent of the fast path.
+``exhaustive_select`` and ``random_select`` provide the optimal and the
+weak reference baselines.
 """
 
 import itertools
@@ -25,7 +30,7 @@ from .errors import BudgetError, DegenerateSchur, TooLarge
 from .linalg import as_matrix, schur_threshold, trace_inverse
 
 EXHAUSTIVE_LIMIT = 1_000_000
-# Float64 entries per stack of candidate submatrices in direct_greedy_select.
+# Float64 entries per stack of candidate matrices in _extension_traces.
 _STACK_ENTRIES = 1 << 12
 # Float64 entries per row block of GreedyState's in-place rank-1 update.
 _UPDATE_ENTRIES = 1 << 16
@@ -252,19 +257,64 @@ def fmbs_select(phi, m, mu):
     return PlacementResult(list(state.selected), list(state.objective_trace), times, "fmbs")
 
 
+def _extension_traces(phi, base, candidates, mu):
+    """Trace scores of the row set base + [i] for every candidate row i.
+
+    With t = len(base) and A = phi[base], while t + 1 <= K each score is
+    the trace of the inverse of the bordered (t+1) x (t+1) principal
+    submatrix of Phi Phi^T + mu I, the submatrix objective itself.  Past
+    that it is the trace of the inverse of the K x K matrix
+    A^T A + mu I + phi_i phi_i^T, which falls short of the submatrix
+    objective by exactly (t + 1 - K)/mu; the caller adds that constant.
+    The matrices are built in stacks of at most
+    _STACK_ENTRIES entries (one candidate per stack once a single matrix
+    is larger) and each stack is factored by one trace_inverse call; a
+    candidate's matrix does not depend on the stack it falls in.
+    """
+    t, k = len(base), phi.shape[1]
+    a = phi[base]
+    side = min(t + 1, k)
+    batch = min(candidates.size, max(1, _STACK_ENTRIES // side**2))
+    # every matrix of a stack shares the part fixed by base; only the
+    # candidate's own terms change from one to the next
+    q = np.empty((batch, side, side))
+    if t + 1 <= k:
+        q[:, :t, :t] = a @ a.T
+        q[:, np.arange(t), np.arange(t)] += mu
+    else:
+        normal = a.T @ a
+        normal[np.diag_indices_from(normal)] += mu
+    vals = np.empty(candidates.size)
+    for lo in range(0, candidates.size, batch):
+        rows = phi[candidates[lo : lo + batch]]
+        stack = q[: rows.shape[0]]
+        if t + 1 <= k:
+            # one vector-matrix product per candidate, so a candidate's
+            # border does not depend on the stack it falls in
+            border = (rows[:, None, :] @ a.T)[:, 0]
+            stack[:, :t, t] = border
+            stack[:, t, :t] = border
+            stack[:, t, t] = np.einsum("ij,ij->i", rows, rows) + mu
+        else:
+            np.multiply(rows[:, :, None], rows[:, None, :], out=stack)
+            stack += normal
+        vals[lo : lo + rows.shape[0]] = trace_inverse(stack)
+    return vals
+
+
 def direct_greedy_select(phi, m, mu):
     """Greedy selection evaluating every candidate by explicit factorization.
 
     Same selection rule and tie-breaking as fmbs_select, but each candidate
-    cost comes from forming the augmented principal submatrix and taking the
-    trace of its inverse.  The candidates' submatrices are built in stacks
-    of at most _STACK_ENTRIES entries (one candidate per stack once a single
-    submatrix is larger) and each stack is factored by one trace_inverse
-    call.  Cubic per candidate; useful as a correctness oracle and for small
-    problems only.
+    is scored from scratch by _extension_traces: the bordered (t+1) x (t+1)
+    submatrix while t + 1 <= K, the K x K shifted normal matrix past it.  A
+    candidate costs O(min(t+1, K)^3), and nothing is carried from one step
+    to the next but the selected indices, so it stays an independent
+    correctness oracle for fmbs_select.  Past depth K it cannot raise
+    NotPositiveDefinite, because the K x K matrix is at least mu I.
     """
     phi = as_matrix(phi)
-    n = phi.shape[0]
+    n, k = phi.shape
     m = _check_budget(m, n)
     mu = _check_mu(mu)
     start = time.perf_counter_ns()
@@ -278,29 +328,12 @@ def direct_greedy_select(phi, m, mu):
     while len(selected) < m:
         start = time.perf_counter_ns()
         t = len(selected)
-        a = phi[selected]
-        # every matrix of a stack shares the selected block; only the last
-        # row/column changes from candidate to candidate
-        batch = min(candidates.size, max(1, _STACK_ENTRIES // (t + 1) ** 2))
-        q = np.empty((batch, t + 1, t + 1))
-        q[:, :t, :t] = a @ a.T
-        q[:, np.arange(t), np.arange(t)] += mu
-        vals = np.empty(candidates.size)
-        for lo in range(0, candidates.size, batch):
-            block = candidates[lo : lo + batch]
-            stack = q[: block.size]
-            # one vector-matrix product per candidate, so a candidate's
-            # border does not depend on the stack it falls in
-            border = (phi[block, None, :] @ a.T)[:, 0]
-            stack[:, :t, t] = border
-            stack[:, t, :t] = border
-            stack[:, t, t] = q_diag[block]
-            vals[lo : lo + block.size] = trace_inverse(stack)
+        vals = _extension_traces(phi, selected, candidates, mu)
         # argmin keeps the first minimum, so ties go to the smallest index
         best = int(np.argmin(vals))
         selected.append(int(candidates[best]))
         candidates = np.delete(candidates, best)
-        trace.append(float(vals[best]))
+        trace.append(float(vals[best]) + max(0, t + 1 - k) / mu)
         times.append(time.perf_counter_ns() - start)
     return PlacementResult(selected, trace, times, "greedy-direct")
 
@@ -309,7 +342,10 @@ def exhaustive_select(phi, m, mu):
     """Minimize the submatrix objective exactly over all m-subsets.
 
     Subsets are enumerated lexicographically and ties keep the first
-    (lexicographically smallest) minimizer.  Guarded by EXHAUSTIVE_LIMIT.
+    (lexicographically smallest) minimizer.  The subsets sharing their
+    first m - 1 rows are scored together by _extension_traces, so past
+    m = K a subset is scored in the K x K form, which drops the constant
+    (m - K)/mu common to all of them.  Guarded by EXHAUSTIVE_LIMIT.
     """
     phi = as_matrix(phi)
     n = phi.shape[0]
@@ -320,14 +356,15 @@ def exhaustive_select(phi, m, mu):
         raise TooLarge(f"C({n},{m}) = {total} subsets exceeds the limit {EXHAUSTIVE_LIMIT}")
     best_val = math.inf
     best = None
-    for combo in itertools.combinations(range(n), m):
-        a = phi[list(combo)]
-        q = a @ a.T
-        q[np.diag_indices_from(q)] += mu
-        val = trace_inverse(q)
-        if val < best_val:
-            best_val = val
-            best = combo
+    # prefixes in lexicographic order, each followed by its last rows in
+    # ascending order, enumerate the m-subsets lexicographically
+    for prefix in itertools.combinations(range(n - 1), m - 1):
+        last = np.arange(prefix[-1] + 1 if prefix else 0, n)
+        vals = _extension_traces(phi, list(prefix), last, mu)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val = float(vals[j])
+            best = prefix + (int(last[j]),)
     indices = list(best)
     trace = [submatrix_objective(phi, indices[: t + 1], mu) for t in range(m)]
     return PlacementResult(indices, trace, [], "exhaustive")
