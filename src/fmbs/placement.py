@@ -1,12 +1,28 @@
 """Greedy sample selection minimizing the expected least-squares recovery error.
 
-The fast sampler (method id ``fmbs``) scores every unselected row i through
-the solve r_i = Q_S^{-1} p_i of its border vector p_i against the selected
-principal submatrix of Q = Phi Phi^T + mu I, and the Schur complement
-h_i = q_ii - p_i . r_i that row i would create if appended.  Both are
-advanced across greedy steps with O(|S|) vector arithmetic instead of fresh
-factorizations, so a full run at budget M costs about O(N M^2); p_i itself
-is never stored.
+The fast sampler (method id ``fmbs``) grows the selected set S one row at
+a time, appending the row whose addition increases the submatrix objective
+tr(Q_S^{-1}), Q = Phi Phi^T + mu I, the least.  The paper scores row i by
+(|r_i|^2 + 1) / h_i, with r_i = Q_S^{-1} p_i the solve of its border vector
+p_i and h_i = q_ii - p_i . r_i its Schur complement.  ``GreedyState``
+carries two N-vectors of per-candidate state across steps and never stores
+r_i or p_i, in two regimes:
+
+* up to depth K (|S| < K): h_i and |r_i|^2, advanced through an
+  append-only triangular factor L^{-1} of Q_S (the incremental Cholesky
+  form of fast greedy MAP inference);
+* from depth K on: d_i = phi_i . Ninv phi_i and e_i = |Ninv phi_i|^2 for
+  the K x K inverse Ninv = (A^T A + mu I)^{-1} of the selected rows A,
+  advanced by Sherman-Morrison.  A candidate's increment is
+  1/mu - e_i / (1 + d_i), so the K-space gain e_i / (1 + d_i) decides
+  without any 1/mu cancellation, at every mu > 0.
+
+Each step makes two matrix-vector products with Phi plus O(K^2 + |S| K)
+work on small matrices, so a run at budget M costs O(N K M) and holds
+O(N + K^2) state.  For M well below K a step reads all of Phi where the
+paper's recursion reads only its |S| x N block; that regime is not one a
+least-squares design (M >= K) runs.  DegenerateSchur is possible only up
+to depth K: past it h_i = mu (1 + d_i) >= mu.
 
 ``direct_greedy_select`` makes the same greedy decisions but evaluates every
 candidate by explicit factorization, at O(min(t+1, K)^3) per candidate:
@@ -17,6 +33,11 @@ term out of the factorization, so the oracle stays well-conditioned at any
 mu > 0.  It is deliberately kept independent of the fast path.
 ``exhaustive_select`` and ``random_select`` provide the optimal and the
 weak reference baselines.
+
+Both greedy methods take the first best score, so ties go to the smallest
+index only when the scores are bitwise equal.  Distinct rows whose scores
+are equal in exact arithmetic, common on {0, 1} (model 2) matrices, are
+ordered by rounding, and the two methods may order them differently.
 """
 
 import itertools
@@ -27,13 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, TooLarge
-from .linalg import as_matrix, schur_threshold, trace_inverse
+from .linalg import as_matrix, cholesky, schur_threshold, trace_inverse
 
 EXHAUSTIVE_LIMIT = 1_000_000
 # Float64 entries per stack of candidate matrices in _extension_traces.
 _STACK_ENTRIES = 1 << 12
-# Float64 entries per row block of GreedyState's in-place rank-1 update.
-_UPDATE_ENTRIES = 1 << 16
 
 
 def as_sample_set(s, n):
@@ -121,52 +140,76 @@ class GreedyState:
     """Warm-start bookkeeping for one fast-greedy run.
 
     Construction computes the shifted squared row norms q_ii = |phi_i|^2 + mu
-    and immediately selects argmax_i q_ii (smallest index on ties).  Each
-    subsequent step() advances every candidate by one level,
+    and immediately selects argmax_i q_ii.  Each step() first folds the
+    previous winner j into the selected set S, then scores every candidate
+    against S and accepts the best one.  The per-candidate state is two
+    N-vectors, and a step makes two matrix-vector products with phi (N x K)
+    plus O(K^2 + |S| K) work on small matrices; the state is O(N + K^2).
 
-        r_i <- [r_i + (alpha - beta) r* ; beta - alpha]
-        h_i <- h_i - h* (alpha - beta)^2
+    Up to depth K (|S| < K) candidate i is scored by the paper's cost
 
-    with alpha = (p* . r_i) / h*, beta = (phi_istar . phi_i) / h*, where
-    (p*, r*, h*) belong to the winning candidate of the previous step, then
-    accepts the candidate with the smallest cost
+        cost_i = (|r_i|^2 + 1) / h_i,   r_i = Q_S^{-1} p_i,
+        h_i = q_ii - p_i . r_i,
 
-        cost_i = (|r_i|^2 + 1) / h_i
+    where p_i = A phi_i is its border against the selected rows A.  The
+    state is h and s = |r|^2 per candidate, A, and the rows of L^{-1} for
+    Q_S = A A^T + mu I = L L^T (both append-only).  Folding in j, with
+    w_j = L^{-1} A phi_j and r_j = L^{-T} w_j,
 
-    breaking ties toward the smallest index.  The accepted increment is
-    exactly the growth of the submatrix objective, so the running trace
-    stays consistent with from-scratch evaluation.  Only r is stored per
-    candidate: p* is a slice of the step's gram row phi . phi_istar.
+        gamma = Phi (phi_j - A^T r_j) / h_j,   rho = Phi A^T Q_S^{-1} r_j,
+        h <- h - h_j gamma^2,   s <- s + gamma (gamma (|r_j|^2 + 1) - 2 rho),
+
+    which is the paper's r_i <- [r_i - gamma_i r_j ; gamma_i] without
+    storing any r_i; L^{-1} gains the row [-w_j^T L^{-1}, 1] / sqrt(h_j).
+    A Schur complement at or below schur_threshold(q_ii) raises
+    DegenerateSchur.
+
+    From depth K on the state is Ninv = (A^T A + mu I)^{-1} (K x K) with
+    d_i = phi_i . Ninv phi_i and e_i = |Ninv phi_i|^2, built once at the
+    switch.  There h_i = mu (1 + d_i) >= mu, so DegenerateSchur cannot
+    fire, and the cost is 1/mu - e_i / (1 + d_i): the argmax of the K-space
+    gain e_i / (1 + d_i) decides, with no 1/mu cancellation.  Folding in j
+    is Sherman-Morrison, with u = Ninv phi_j / sqrt(1 + d_j),
+
+        c = Phi u,   omega = Phi Ninv u,
+        d <- d - c^2,   e <- e + c (c |u|^2 - 2 omega),   Ninv <- Ninv - u u^T.
+
+    Each accepted increment is exactly the growth of the submatrix
+    objective, so the running trace stays consistent with from-scratch
+    evaluation.  The winner is the first minimum of the cost (maximum of
+    the gain), so ties go to the smallest index when the scores are
+    bitwise equal; distinct rows with mathematically equal scores are
+    ordered by rounding.  candidate_state and the chosen_* values give the
+    paper's p, r and h, computed from this state on request:
+    r = L^{-T} L^{-1} p up to depth K, r = A Ninv phi_i past it.
     """
 
     def __init__(self, phi, budget, mu):
         self.phi = np.ascontiguousarray(as_matrix(phi))
-        n = self.phi.shape[0]
+        n, k = self.phi.shape
         self.budget = _check_budget(budget, n)
         self.mu = _check_mu(mu)
         self.q_diag = np.einsum("ij,ij->i", self.phi, self.phi) + self.mu
         self._floor = schur_threshold(self.q_diag)
-        # Row t of _r holds the entry appended at greedy depth t, one column
-        # per row of phi; columns of selected rows go stale and are never
-        # read.  Every candidate starts at r = [], h = q_ii, so the first
-        # step() is the general update with alpha = 0.
-        self._r = np.zeros((self.budget, n))
-        # the rank-1 update of _r goes through this scratch one row block at
-        # a time (one row per block once a row exceeds _UPDATE_ENTRIES)
-        self._scratch = np.empty((min(self.budget, max(1, _UPDATE_ENTRIES // n)), n))
+        # up to depth K every candidate starts at r = [], h = q_ii, so the
+        # first step() is the general fold with an empty selected set
         self._h = self.q_diag.copy()
-        self._rnorm2 = np.zeros(n)
+        self._s = np.zeros(n)
+        side = min(self.budget, k)
+        self._a = np.empty((side, k))
+        self._linv = np.zeros((side, side))
+        # from depth K on: Ninv, d and e, built at the switch
+        self._ninv = self._d = self._e = None
         self._candidate = np.ones(n, dtype=bool)
         first = int(np.argmax(self.q_diag))
         self.selected = [first]
         self._candidate[first] = False
-        self.chosen_r = np.empty(0)
         self.chosen_h = float(self.q_diag[first])
         self.objective_trace = [1.0 / self.chosen_h]
 
     @property
     def depth(self):
-        """Length of the committed per-candidate vectors."""
+        """Number of selected rows the candidate data is committed against."""
         return len(self.selected) - 1
 
     @property
@@ -178,71 +221,114 @@ class GreedyState:
         """Border vector of the last winner against the rows selected before it."""
         return self.phi[self.selected[:-1]] @ self.phi[self.selected[-1]]
 
+    @property
+    def chosen_r(self):
+        """Solve Q_S^{-1} p of the last winner against the rows selected before it."""
+        return self._border_solve(self.selected[-1])[1]
+
     def candidate_indices(self):
         """Unselected row indices, ascending."""
         return np.flatnonzero(self._candidate)
+
+    def _border_solve(self, i):
+        """Border p_i and solve r_i = Q_S^{-1} p_i against selected[:depth]."""
+        a = self.phi[self.selected[: self.depth]]
+        p = a @ self.phi[i]
+        if self._ninv is None:
+            linv = self._linv[: self.depth, : self.depth]
+            return p, linv.T @ (linv @ p)
+        # push-through: (A A^T + mu I)^{-1} A = A (A^T A + mu I)^{-1}
+        return p, a @ (self._ninv @ self.phi[i])
 
     def candidate_state(self, i):
         """Committed warm-start data for candidate i at the current depth."""
         i = int(i)
         if not (0 <= i < self.phi.shape[0]) or not self._candidate[i]:
             raise IndexError(f"{i} is not an unselected candidate")
-        t = self.depth
-        if t == 0:
+        if self.depth == 0:
             raise ValueError("no committed candidate data before the first step")
-        h = float(self._h[i])
-        return CandidateState(
-            i,
-            self.phi[self.selected[:t]] @ self.phi[i],
-            self._r[:t, i].copy(),
-            h,
-            (float(self._rnorm2[i]) + 1.0) / h,
-        )
+        p, r = self._border_solve(i)
+        if self._ninv is None:
+            h = float(self._h[i])
+            cost = (float(self._s[i]) + 1.0) / h
+        else:
+            d, e = float(self._d[i]), float(self._e[i])
+            h = self.mu * (1.0 + d)
+            cost = 1.0 / self.mu - e / (1.0 + d)
+        return CandidateState(i, p, r, h, cost)
 
     def step(self):
         """Run one greedy iteration and return the accepted row index."""
         if self.complete:
             raise BudgetError("selection already complete")
-        t = len(self.selected)
-        gram = self.phi @ self.phi[self.selected[-1]]
-        # p* is gram at the earlier selected rows, and p* . r_i equals
-        # p_i . r* by symmetry of the solve, so the update reads only the r
-        # block; each candidate's p.r grows by exactly h* delta^2 and |r|^2
-        # by 2 delta (r . r*) + delta^2 (|r*|^2 + 1), with delta =
-        # alpha - beta, so h and |r|^2 advance without re-reducing r
-        alpha = (gram[self.selected[:-1]] @ self._r[: t - 1]) / self.chosen_h
-        delta = alpha - gram / self.chosen_h
-        rho = self.chosen_r @ self._r[: t - 1]
-        # r += outer(r*, delta) in place: the same products and sums as
-        # np.outer, without a temporary as large as the r block
-        rows = self._scratch.shape[0]
-        for lo in range(0, t - 1, rows):
-            hi = min(lo + rows, t - 1)
-            block = self._scratch[: hi - lo]
-            np.multiply(self.chosen_r[lo:hi, None], delta, out=block)
-            self._r[lo:hi] += block
-        self._r[t - 1] = -delta
-        delta2 = delta**2
-        self._h -= self.chosen_h * delta2
-        star_norm2 = float(self.chosen_r @ self.chosen_r)
-        # two in-place adds keep the summation order of a + b + c
-        self._rnorm2 += 2.0 * delta * rho
-        self._rnorm2 += (star_norm2 + 1.0) * delta2
-        h = self._h
-        bad = self._candidate & ~(h > self._floor)
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
-            raise DegenerateSchur(f"candidate {j}: schur complement {h[j]:.6e} at or below floor")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cost = (self._rnorm2 + 1.0) / h
-        cost[~self._candidate] = np.inf
-        winner = int(np.argmin(cost))
-        self.chosen_r = self._r[:t, winner].copy()
-        self.chosen_h = float(h[winner])
-        self.objective_trace.append(self.objective_trace[-1] + float(cost[winner]))
+        if len(self.selected) < self.phi.shape[1]:
+            winner, increment, self.chosen_h = self._step_below_k()
+        else:
+            winner, increment, self.chosen_h = self._step_past_k()
+        self.objective_trace.append(self.objective_trace[-1] + increment)
         self.selected.append(winner)
         self._candidate[winner] = False
         return winner
+
+    def _step_below_k(self):
+        """Fold the last winner into the triangular form, then score by cost."""
+        t = len(self.selected) - 1
+        j = self.selected[-1]
+        phi_j, h_j = self.phi[j], self.chosen_h
+        a, linv = self._a[:t], self._linv[:t, :t]
+        w = linv @ (a @ phi_j)
+        r_j = linv.T @ w
+        # two gemv passes over phi, x1 = phi_j - A^T r_j giving
+        # q_ij - p_i . r_j and x2 giving r_j . r_i; with OpenBLAS 0.3.31 on
+        # 2 cores one phi @ [x1, x2] took 1.6x as long at 5000 x 500
+        gamma = self.phi @ (phi_j - a.T @ r_j)
+        gamma /= h_j
+        rho = self.phi @ (a.T @ (linv.T @ (linv @ r_j)))
+        self._h -= h_j * gamma**2
+        self._s += gamma * (gamma * (float(r_j @ r_j) + 1.0) - 2.0 * rho)
+        self._a[t] = phi_j
+        root = math.sqrt(h_j)
+        self._linv[t, :t] = -(w @ linv) / root
+        self._linv[t, t] = 1.0 / root
+        h = self._h
+        bad = self._candidate & ~(h > self._floor)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise DegenerateSchur(f"candidate {i}: schur complement {h[i]:.6e} at or below floor")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cost = (self._s + 1.0) / h
+        cost[~self._candidate] = np.inf
+        winner = int(np.argmin(cost))
+        return winner, float(cost[winner]), float(h[winner])
+
+    def _step_past_k(self):
+        """Fold the last winner into Ninv by Sherman-Morrison, then score by gain."""
+        if self._ninv is None:
+            # the switch at depth K: build the K-space state once and drop
+            # the triangular one
+            a = self.phi[self.selected]
+            normal = a.T @ a
+            normal[np.diag_indices_from(normal)] += self.mu
+            linv = np.linalg.inv(cholesky(normal))
+            self._ninv = linv.T @ linv
+            b = self.phi @ self._ninv
+            self._d = np.einsum("ij,ij->i", b, self.phi)
+            self._e = np.einsum("ij,ij->i", b, b)
+            self._h = self._s = self._a = self._linv = None
+        else:
+            phi_j = self.phi[self.selected[-1]]
+            v = self._ninv @ phi_j
+            u = v / math.sqrt(1.0 + float(phi_j @ v))
+            c = self.phi @ u
+            omega = self.phi @ (self._ninv @ u)
+            self._d -= c * c
+            self._e += c * (c * float(u @ u) - 2.0 * omega)
+            self._ninv -= np.outer(u, u)
+        gain = self._e / (1.0 + self._d)
+        gain[~self._candidate] = -np.inf
+        winner = int(np.argmax(gain))
+        h = self.mu * (1.0 + float(self._d[winner]))
+        return winner, 1.0 / self.mu - float(gain[winner]), h
 
 
 def fmbs_select(phi, m, mu):
@@ -305,7 +391,8 @@ def _extension_traces(phi, base, candidates, mu):
 def direct_greedy_select(phi, m, mu):
     """Greedy selection evaluating every candidate by explicit factorization.
 
-    Same selection rule and tie-breaking as fmbs_select, but each candidate
+    Same selection rule as fmbs_select (the first best score, so ties go to
+    the smallest index when scores are bitwise equal), but each candidate
     is scored from scratch by _extension_traces: the bordered (t+1) x (t+1)
     submatrix while t + 1 <= K, the K x K shifted normal matrix past it.  A
     candidate costs O(min(t+1, K)^3), and nothing is carried from one step
@@ -329,7 +416,7 @@ def direct_greedy_select(phi, m, mu):
         start = time.perf_counter_ns()
         t = len(selected)
         vals = _extension_traces(phi, selected, candidates, mu)
-        # argmin keeps the first minimum, so ties go to the smallest index
+        # argmin keeps the first minimum: bitwise ties go to the smallest index
         best = int(np.argmin(vals))
         selected.append(int(candidates[best]))
         candidates = np.delete(candidates, best)
