@@ -401,14 +401,15 @@ def assert_picks_exact_best(phi, indices, every):
     n, k = phi.shape
     free = np.ones(n, dtype=bool)
     for t, pick in enumerate(indices):
-        if t % every == 0 and t < k:
-            cost = np.where(free, exact_increments(phi, indices[:t], MU), np.inf)
-            best = float(cost.min())
-            assert cost[pick] - best <= 1e-9 * best, (t, pick)
-        elif t % every == 0:
-            gain = np.where(free, exact_gains(phi, indices[:t], MU), -np.inf)
-            best = float(gain.max())
-            assert best - gain[pick] <= 1e-9 * best, (t, pick)
+        if t % every == 0:
+            if t < k:
+                cost = np.where(free, exact_increments(phi, indices[:t], MU), np.inf)
+                best = float(cost.min())
+                assert cost[pick] - best <= 1e-9 * best, (t, pick)
+            else:
+                gain = np.where(free, exact_gains(phi, indices[:t], MU), -np.inf)
+                best = float(gain.max())
+                assert best - gain[pick] <= 1e-9 * best, (t, pick)
         free[pick] = False
 
 
