@@ -17,12 +17,22 @@ its inputs.  The kernels:
   Cholesky factor.
 
 A full inverse of a symmetric matrix is never formed; only the inverse of
-a triangular factor, when accumulating a trace.
+a triangular factor, when accumulating a trace.  That inverse is built by
+blocked forward substitution: ``numpy.linalg.inv`` on _BLOCK x _BLOCK
+diagonal blocks of the factor, and matrix products for the panels below
+them, so the general solves stay small and the bulk of the work is gemm.
 """
 
 import numpy as np
 
 from .errors import DegenerateSchur, DimensionError, NonFiniteInput, NotPositiveDefinite
+
+# Row-block width of the triangular inverse in trace_inverse.  Min of 7
+# rounds, widths interleaved (2 vCPUs, OpenBLAS 0.3.31), per call at side
+# 100 and on a stack of 40 matrices of side 20 (a greedy-direct stack at
+# K = 20): width 4 245/185 us, 6 197/217, 8 170/200, 12 147/251, 16
+# 133/272; one np.linalg.inv of the whole factor took about 215/330 us.
+_BLOCK = 8
 
 
 def _check_finite(a):
@@ -95,16 +105,31 @@ def trace_inverse(a):
     """Trace of the inverse of a symmetric positive-definite matrix.
 
     Factors a = L L^T and returns the squared Frobenius norm of L^{-1},
-    which equals sum_k 1/lambda_k.  A stack of matrices (any leading axes,
-    square last two axes) gives an array of traces, one per matrix; a
-    single matrix gives a float.
+    which equals sum_k 1/lambda_k.  L^{-1} is formed by forward
+    substitution over row blocks of width _BLOCK: with D the diagonal
+    block of rows lo:hi, X[lo:hi, lo:hi] = D^{-1} and
+    X[lo:hi, :lo] = -D^{-1} (L[lo:hi, :lo] X[:lo, :lo]).  A stack of
+    matrices (any leading axes, square last two axes) gives an array of
+    traces, one per matrix; a single matrix gives a float.  Every step acts
+    on each matrix alone, so a member's trace is bitwise the same whatever
+    stack it is scored in, and equal to a single-matrix call on it.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise DimensionError(f"expected a nonempty square matrix or a stack of them, got {a.shape}")
     _check_finite(a)
-    linv = np.linalg.inv(cholesky(a))
-    traces = np.einsum("...ij,...ij->...", linv, linv)
+    low = cholesky(a)
+    side = a.shape[-1]
+    linv = np.zeros_like(low)
+    for lo in range(0, side, _BLOCK):
+        hi = min(lo + _BLOCK, side)
+        dinv = np.linalg.inv(low[..., lo:hi, lo:hi])
+        linv[..., lo:hi, lo:hi] = dinv
+        if lo:
+            linv[..., lo:hi, :lo] = -dinv @ (low[..., lo:hi, :lo] @ linv[..., :lo, :lo])
+    # not einsum: its buffered reduction splits a matrix of more than 8192
+    # entries at offsets that depend on its place in the stack
+    traces = np.square(linv).sum(axis=(-2, -1))
     return float(traces) if a.ndim == 2 else traces
 
 

@@ -11,6 +11,11 @@ from fmbs import (
     schur_threshold,
     trace_inverse,
 )
+from fmbs.linalg import _BLOCK
+
+# sides that fill the row blocks of trace_inverse's triangular inverse
+# exactly, leave one short, spill one over, and span many blocks
+BLOCK_SIDES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 100, 120)
 
 
 def random_spd(rng, side, cond=100.0):
@@ -53,23 +58,58 @@ def test_trace_inverse_matches_eigenvalues():
         assert trace_inverse(a) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("cond", [1e3, 1e6])
+@pytest.mark.parametrize("side", BLOCK_SIDES)
+def test_trace_inverse_blocks_match_eigenvalues(side, cond):
+    # the reference moves with the conditioning too: 1/eigvalsh of the
+    # same matrix sits up to ~1e-10 away at cond 1e6, so the bound scales
+    rng = np.random.default_rng(side)
+    stack = np.array([random_spd(rng, side, cond=cond) for _ in range(6)]).reshape(2, 3, side, side)
+    expected = np.sum(1.0 / np.linalg.eigvalsh(stack), axis=-1)
+    traces = trace_inverse(stack)
+    assert traces.shape == (2, 3)
+    assert np.all(np.abs(traces - expected) <= 1e-15 * cond * expected)
+    single = trace_inverse(stack[1, 2])
+    assert abs(single - expected[1, 2]) <= 1e-15 * cond * expected[1, 2]
+
+
 def test_trace_inverse_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         trace_inverse([[1.0, 2.0], [2.0, 1.0]])
 
 
+@pytest.mark.parametrize("pivot", [_BLOCK, 2 * _BLOCK + 3])
+def test_trace_inverse_rejects_indefinite_past_first_block(pivot):
+    # a negative diagonal entry makes the factor's first bad pivot sit at
+    # that row, in a row block after the first
+    rng = np.random.default_rng(8)
+    a = random_spd(rng, 3 * _BLOCK)
+    a[pivot, pivot] = -1.0
+    with pytest.raises(NotPositiveDefinite):
+        trace_inverse(a)
+    stack = np.array([random_spd(rng, 3 * _BLOCK) for _ in range(4)])
+    stack[2] = a
+    with pytest.raises(NotPositiveDefinite):
+        trace_inverse(stack)
+
+
 def test_trace_inverse_stack_matches_single_calls():
+    # a candidate's score must not depend on the stack it falls in (the tie
+    # tests of the greedy oracle and of exhaustive search rest on this):
+    # each member's trace is bitwise that of a one-member stack and of a
+    # single-matrix call, in stacks of 1, 7 and 64 and in a 2-axis stack
     rng = np.random.default_rng(6)
-    for side in (1, 3, 8, 25):
-        stack = np.array([random_spd(rng, side, cond=1e4) for _ in range(6)])
-        stack = stack.reshape(2, 3, side, side)
-        traces = trace_inverse(stack)
-        assert traces.shape == (2, 3)
-        for i in range(2):
-            for j in range(3):
-                single = trace_inverse(stack[i, j])
+    for side in BLOCK_SIDES:
+        for size in (1, 7, 64):
+            stack = np.array([random_spd(rng, side, cond=1e4) for _ in range(size)])
+            traces = trace_inverse(stack)
+            for i in range(size):
+                single = trace_inverse(stack[i])
                 assert isinstance(single, float)
-                assert abs(traces[i, j] - single) <= 1e-13 * single
+                assert trace_inverse(stack[i : i + 1])[0] == traces[i] == single, (side, size, i)
+        grid = trace_inverse(stack[:6].reshape(2, 3, side, side))
+        assert grid.shape == (2, 3)
+        assert np.array_equal(grid.ravel(), traces[:6])
 
 
 def test_trace_inverse_stack_rejects_bad_member():

@@ -560,6 +560,25 @@ def test_exhaustive_lower_bounds_greedy():
         assert opt <= got * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("entries", [1, 2**24])
+def test_exhaustive_stack_size_invisible(monkeypatch, entries):
+    # the stacks of exhaustive change size from prefix to prefix; one
+    # subset per stack and every subset of a prefix in one stack both give
+    # the default run's optimum, before and past m = K, also where copied
+    # rows make distinct subsets tie exactly
+    import fmbs.placement as placement
+
+    base = np.random.default_rng(29).standard_normal((7, 3))
+    phis = [np.random.default_rng(30).standard_normal((11, 3)), np.vstack([base, base])]
+    cases = [(phi, m) for phi in phis for m in (2, 3, 5)]
+    expected = [exhaustive_select(phi, m, MU) for phi, m in cases]
+    monkeypatch.setattr(placement, "_STACK_ENTRIES", entries)
+    for (phi, m), want in zip(cases, expected):
+        got = exhaustive_select(phi, m, MU)
+        assert got.indices == want.indices
+        assert got.objective_trace == want.objective_trace
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_exhaustive_well_conditioned_past_k(seed):
     # at mu = 1e-10 the m x m submatrix is swamped by its 1/mu term; scored
