@@ -17,22 +17,28 @@ its inputs.  The kernels:
   Cholesky factor.
 
 A full inverse of a symmetric matrix is never formed; only the inverse of
-a triangular factor, when accumulating a trace.  That inverse is built by
-blocked forward substitution: ``numpy.linalg.inv`` on _BLOCK x _BLOCK
-diagonal blocks of the factor, and matrix products for the panels below
-them, so the general solves stay small and the bulk of the work is gemm.
+a triangular factor, when accumulating a trace.  That inverse takes no
+LAPACK solve: it is built by forward substitution, one row at a time as
+one batched matrix product over every diagonal block of every stack
+member, with gemm for the panels below the diagonal blocks of a side
+larger than _ROW_BLOCK.  The inverse overwrites the factor row by row and
+is squared in place, so a call holds one stack-sized array (two while a
+factor whose side does not split evenly is copied into a padded one).
 """
 
 import numpy as np
 
 from .errors import DegenerateSchur, DimensionError, NonFiniteInput, NotPositiveDefinite
 
-# Row-block width of the triangular inverse in trace_inverse.  Min of 7
-# rounds, widths interleaved (2 vCPUs, OpenBLAS 0.3.31), per call at side
-# 100 and on a stack of 40 matrices of side 20 (a greedy-direct stack at
-# K = 20): width 4 245/185 us, 6 197/217, 8 170/200, 12 147/251, 16
-# 133/272; one np.linalg.inv of the whole factor took about 215/330 us.
-_BLOCK = 8
+# Row-block cap of the triangular inverse in trace_inverse: a side up to
+# this is one sweep of row products, a larger one is split into equal
+# blocks.  Median of 7 rounds per call (2 vCPUs, OpenBLAS 0.3.31), caps
+# 16/20/25/32/50/64: side 100 122/114/122/123/162/163 us, side 120
+# 141/141/144/155/170/210 us, side 64 70/69/82/95/90/141 us, a stack of
+# 40 matrices of side 20 136-143 us at every cap.  32 keeps every
+# greedy-direct stack up to K = 32 a single sweep, within 10% of the
+# best cap at sides 100 and 120.
+_ROW_BLOCK = 32
 
 
 def _check_finite(a):
@@ -104,11 +110,18 @@ def cho_solve(lower, b):
 def trace_inverse(a):
     """Trace of the inverse of a symmetric positive-definite matrix.
 
-    Factors a = L L^T and returns the squared Frobenius norm of L^{-1},
-    which equals sum_k 1/lambda_k.  L^{-1} is formed by forward
-    substitution over row blocks of width _BLOCK: with D the diagonal
-    block of rows lo:hi, X[lo:hi, lo:hi] = D^{-1} and
-    X[lo:hi, :lo] = -D^{-1} (L[lo:hi, :lo] X[:lo, :lo]).  A stack of
+    Factors a = L L^T and returns the squared Frobenius norm of X = L^{-1},
+    which equals sum_k 1/lambda_k.  X takes no general solve: with the
+    rows of L scaled in place to S = -diag(L)^{-1} L, forward substitution
+    gives each row X[r, :r] = S[r, :r] X[:r, :r] from the rows above it,
+    and X[r, r] = 1/L[r, r]; row r of X overwrites row r of S, which no
+    later row reads.  A side up to _ROW_BLOCK is one sweep of such rows.
+    A larger side is split into equal row blocks of at most _ROW_BLOCK,
+    the factor padded at the end with an identity block when the side
+    does not divide evenly; the diagonal blocks are swept together, and
+    each panel below them is X[lo:hi, :lo] = U (S[lo:hi, :lo] X[:lo, :lo])
+    by gemm, where U = X[lo:hi, lo:hi] D, with D the diagonal of
+    L[lo:hi, lo:hi], is the inverse of -S[lo:hi, lo:hi].  A stack of
     matrices (any leading axes, square last two axes) gives an array of
     traces, one per matrix; a single matrix gives a float.  Every step acts
     on each matrix alone, so a member's trace is bitwise the same whatever
@@ -120,16 +133,37 @@ def trace_inverse(a):
     _check_finite(a)
     low = cholesky(a)
     side = a.shape[-1]
-    linv = np.zeros_like(low)
-    for lo in range(0, side, _BLOCK):
-        hi = min(lo + _BLOCK, side)
-        dinv = np.linalg.inv(low[..., lo:hi, lo:hi])
-        linv[..., lo:hi, lo:hi] = dinv
-        if lo:
-            linv[..., lo:hi, :lo] = -dinv @ (low[..., lo:hi, :lo] @ linv[..., :lo, :lo])
+    blocks = -(-side // _ROW_BLOCK)
+    rows = -(-side // blocks)
+    width = blocks * rows
+    idx = np.arange(width)
+    if width > side:
+        padded = np.zeros(a.shape[:-2] + (width, width))
+        padded[..., :side, :side] = low
+        padded[..., idx[side:], idx[side:]] = 1.0
+        low = padded
+    diag = np.diagonal(low, axis1=-2, axis2=-1).copy()
+    dinv = 1.0 / diag
+    low *= -dinv[..., :, None]
+    low[..., idx, idx] = dinv
+    # the diagonal blocks as one (..., blocks, rows, rows) view, so one
+    # product per row covers every block of every member; built over the
+    # buffer, which cholesky and np.zeros return C-contiguous, because
+    # as_strided goes through __array_interface__, which held about 1 MB
+    # of traced memory after a few thousand calls (NumPy 2.4)
+    step = rows * (low.strides[-2] + low.strides[-1])
+    shape = low.shape[:-2] + (blocks, rows, rows)
+    dblocks = np.ndarray(shape, buffer=low, strides=low.strides[:-2] + (step,) + low.strides[-2:])
+    for r in range(1, rows):
+        np.matmul(dblocks[..., r : r + 1, :r], dblocks[..., :r, :r], out=dblocks[..., r : r + 1, :r])
+    for lo in range(rows, width, rows):
+        hi = lo + rows
+        unit = low[..., lo:hi, lo:hi] * diag[..., None, lo:hi]
+        np.matmul(unit, low[..., lo:hi, :lo] @ low[..., :lo, :lo], out=low[..., lo:hi, :lo])
     # not einsum: its buffered reduction splits a matrix of more than 8192
     # entries at offsets that depend on its place in the stack
-    traces = np.square(linv).sum(axis=(-2, -1))
+    np.square(low, out=low)
+    traces = low[..., :side, :side].sum(axis=(-2, -1))
     return float(traces) if a.ndim == 2 else traces
 
 

@@ -52,13 +52,20 @@ from .linalg import as_matrix, cholesky, schur_threshold, trace_inverse
 
 EXHAUSTIVE_LIMIT = 1_000_000
 # Float64 entries per stack of candidate matrices in _extension_traces.
-# direct_greedy_select at N/K/M = 500/20/60 (three Gaussian matrices, 9
+# direct_greedy_select at N/K/M = 500/20/60 (three Gaussian matrices, 7
 # rounds, sizes interleaved; 2 vCPUs, OpenBLAS 0.3.31), median per call:
-# 2**12 197 ms, 2**13 159, 2**14 136, 2**15 130, 2**16 176.  The step up
-# at 2**16 fits a stack, its factor and its inverse (512 KB each)
-# outgrowing the 2 MB L2; 2**14 stays a factor of four below that, at 4%
-# over the best.
-_STACK_ENTRIES = 1 << 14
+# 2**12 177 ms, 2**13 121, 2**14 94, 2**15 78, 2**16 84.  The step up at
+# 2**16 is glibc's allocator, not the cache: with MALLOC_MMAP_THRESHOLD_
+# and MALLOC_TRIM_THRESHOLD_ raised in the measuring process, 2**15 took
+# 78 ms and 2**16 71 ms.  A stack and its factor (512 KB each at 2**16)
+# fall on either side of the mmap and trim thresholds, which move with
+# the process's allocation history; a kernel that also allocated the
+# inverse swung between 74 and 110 ms at 2**16.
+_STACK_ENTRIES = 1 << 15
+# Float64 entries per row block of Phi at the switch to K space: d and e
+# are built block by block, so the N x K product Phi Ninv is never held
+# whole (1 MB per block against 8 MB for all of it at 10000 x 100).
+_SWITCH_ENTRIES = 1 << 17
 
 
 def as_sample_set(s, n):
@@ -166,7 +173,7 @@ class GreedyState:
         h <- h - h_j gamma^2,   s <- s + gamma (gamma (|r_j|^2 + 1) - 2 rho),
 
     which is the paper's r_i <- [r_i - gamma_i r_j ; gamma_i] without
-    storing any r_i; L^{-1} gains the row [-w_j^T L^{-1}, 1] / sqrt(h_j).
+    storing any r_i; L^{-1} gains the row [-r_j^T, 1] / sqrt(h_j).
     A Schur complement at or below schur_threshold(q_ii) raises
     DegenerateSchur.
 
@@ -294,7 +301,7 @@ class GreedyState:
         self._s += gamma * (gamma * (float(r_j @ r_j) + 1.0) - 2.0 * rho)
         self._a[t] = phi_j
         root = math.sqrt(h_j)
-        self._linv[t, :t] = -(w @ linv) / root
+        self._linv[t, :t] = -r_j / root
         self._linv[t, t] = 1.0 / root
         h = self._h
         bad = self._candidate & ~(h > self._floor)
@@ -317,9 +324,14 @@ class GreedyState:
             normal[np.diag_indices_from(normal)] += self.mu
             linv = np.linalg.inv(cholesky(normal))
             self._ninv = linv.T @ linv
-            b = self.phi @ self._ninv
-            self._d = np.einsum("ij,ij->i", b, self.phi)
-            self._e = np.einsum("ij,ij->i", b, b)
+            n, k = self.phi.shape
+            self._d, self._e = np.empty(n), np.empty(n)
+            step = max(1, _SWITCH_ENTRIES // k)
+            for lo in range(0, n, step):
+                rows = self.phi[lo : lo + step]
+                b = rows @ self._ninv
+                self._d[lo : lo + step] = np.einsum("ij,ij->i", b, rows)
+                self._e[lo : lo + step] = np.einsum("ij,ij->i", b, b)
             self._h = self._s = self._a = self._linv = None
         else:
             phi_j = self.phi[self.selected[-1]]
@@ -435,11 +447,16 @@ def direct_greedy_select(phi, m, mu):
 def exhaustive_select(phi, m, mu):
     """Minimize the submatrix objective exactly over all m-subsets.
 
-    Subsets are enumerated lexicographically and ties keep the first
-    (lexicographically smallest) minimizer.  The subsets sharing their
-    first m - 1 rows are scored together by _extension_traces, so past
-    m = K a subset is scored in the K x K form, which drops the constant
-    (m - K)/mu common to all of them.  Guarded by EXHAUSTIVE_LIMIT.
+    Subsets are enumerated lexicographically and a later subset replaces
+    the best only when it scores strictly lower, so ties go to the
+    lexicographically smallest minimizer only when the scores are bitwise
+    equal.  Distinct subsets whose scores are equal in exact arithmetic,
+    such as two holding the same rows through a copied row, are factored
+    with their rows in different orders, so rounding picks between them,
+    as in the greedy methods.  The subsets sharing their first m - 1 rows
+    are scored together by _extension_traces, so past m = K a subset is
+    scored in the K x K form, which drops the constant (m - K)/mu common
+    to all of them.  Guarded by EXHAUSTIVE_LIMIT.
     """
     phi = as_matrix(phi)
     n = phi.shape[0]

@@ -11,11 +11,13 @@ from fmbs import (
     schur_threshold,
     trace_inverse,
 )
-from fmbs.linalg import _BLOCK
+from fmbs.linalg import _ROW_BLOCK
 
-# sides that fill the row blocks of trace_inverse's triangular inverse
-# exactly, leave one short, spill one over, and span many blocks
-BLOCK_SIDES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 100, 120)
+# sides around the row blocks of trace_inverse's triangular inverse: one
+# sweep (up to _ROW_BLOCK = 32, with 8, 9, 16 and 17 between), two, three
+# and four equal blocks (64, 120, 100 as 4 x 25), and sides padded with
+# an identity block (33, 65, 97)
+BLOCK_SIDES = (1, 7, 8, 9, 16, 17, 20, 31, 32, 33, 64, 65, 97, 100, 120)
 
 
 def random_spd(rng, side, cond=100.0):
@@ -78,16 +80,16 @@ def test_trace_inverse_rejects_indefinite():
         trace_inverse([[1.0, 2.0], [2.0, 1.0]])
 
 
-@pytest.mark.parametrize("pivot", [_BLOCK, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("pivot", [8, 19, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])
 def test_trace_inverse_rejects_indefinite_past_first_block(pivot):
     # a negative diagonal entry makes the factor's first bad pivot sit at
-    # that row, in a row block after the first
+    # that row, inside the first row block or in one after it
     rng = np.random.default_rng(8)
-    a = random_spd(rng, 3 * _BLOCK)
+    a = random_spd(rng, 3 * _ROW_BLOCK)
     a[pivot, pivot] = -1.0
     with pytest.raises(NotPositiveDefinite):
         trace_inverse(a)
-    stack = np.array([random_spd(rng, 3 * _BLOCK) for _ in range(4)])
+    stack = np.array([random_spd(rng, 3 * _ROW_BLOCK) for _ in range(4)])
     stack[2] = a
     with pytest.raises(NotPositiveDefinite):
         trace_inverse(stack)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -577,6 +578,19 @@ def test_exhaustive_stack_size_invisible(monkeypatch, entries):
         got = exhaustive_select(phi, m, MU)
         assert got.indices == want.indices
         assert got.objective_trace == want.objective_trace
+
+
+def test_exhaustive_exact_tie_within_ulps():
+    # rows 7-13 copy rows 0-6, so the eight subsets holding rows 0, 4 and 6
+    # tie in exact arithmetic; their rows are factored in different orders,
+    # so rounding, not the lexicographic order, picks among them, and the
+    # pick is pinned to those rows and to the best score within ulps
+    base = np.random.default_rng(29).standard_normal((7, 3))
+    phi = np.vstack([base, base])
+    result = exhaustive_select(phi, 3, MU)
+    assert sorted(i % 7 for i in result.indices) == [0, 4, 6]
+    best = min(submatrix_objective(phi, s, MU) for s in itertools.combinations(range(14), 3))
+    assert abs(result.objective_trace[-1] - best) <= 4 * np.spacing(best)
 
 
 @pytest.mark.parametrize("seed", range(4))
