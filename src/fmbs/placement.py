@@ -8,21 +8,23 @@ p_i and h_i = q_ii - p_i . r_i its Schur complement.  ``GreedyState``
 carries two N-vectors of per-candidate state across steps and never stores
 r_i or p_i, in two regimes:
 
-* up to depth K (|S| < K): h_i and |r_i|^2, advanced through an
-  append-only triangular factor L^{-1} of Q_S (the incremental Cholesky
-  form of fast greedy MAP inference);
-* from depth K on: d_i = phi_i . Ninv phi_i and e_i = |Ninv phi_i|^2 for
-  the K x K inverse Ninv = (A^T A + mu I)^{-1} of the selected rows A,
+* up to depth K (|S| < K): h_i and 1 + |r_i|^2, advanced through the
+  append-only Gram-Schmidt basis B = L^{-1} A of the selected rows A and
+  G = L^{-1} L^{-T}, for Q_S = L L^T (the incremental Cholesky form of
+  fast greedy MAP inference, kept for the selected block alone);
+* from depth K on: 1 + d_i, d_i = phi_i . Ninv phi_i, and
+  e_i = |Ninv phi_i|^2 for the K x K inverse Ninv = (A^T A + mu I)^{-1},
   advanced by Sherman-Morrison.  A candidate's increment is
   1/mu - e_i / (1 + d_i), so the K-space gain e_i / (1 + d_i) decides
   without any 1/mu cancellation, at every mu > 0.
 
 Each step makes two matrix-vector products with Phi plus O(K^2 + |S| K)
-work on small matrices, so a run at budget M costs O(N K M) and holds
-O(N + K^2) state.  For M well below K a step reads all of Phi where the
-paper's recursion reads only its |S| x N block; that regime is not one a
-least-squares design (M >= K) runs.  DegenerateSchur is possible only up
-to depth K: past it h_i = mu (1 + d_i) >= mu.
+work on small matrices (three reads of B and one of G up to depth K), so
+a run at budget M costs O(N K M) and holds O(N + K^2) state; r_i and p_i
+are computed afresh, on request only.  For M well below K a step reads
+all of Phi where the paper's recursion reads only its |S| x N block; that
+regime is not one a least-squares design (M >= K) runs.  DegenerateSchur
+is possible only up to depth K: past it h_i = mu (1 + d_i) >= mu.
 
 ``direct_greedy_select`` makes the same greedy decisions but evaluates every
 candidate by explicit factorization, at O(min(t+1, K)^3) per candidate:
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, TooLarge
-from .linalg import as_matrix, cholesky, schur_threshold, trace_inverse
+from .linalg import as_matrix, cho_solve, cholesky, schur_threshold, trace_inverse
 
 EXHAUSTIVE_LIMIT = 1_000_000
 # Float64 entries per stack of candidate matrices in _extension_traces.
@@ -165,27 +167,34 @@ class GreedyState:
         h_i = q_ii - p_i . r_i,
 
     where p_i = A phi_i is its border against the selected rows A.  The
-    state is h and s = |r|^2 per candidate, A, and the rows of L^{-1} for
-    Q_S = A A^T + mu I = L L^T (both append-only).  Folding in j, with
-    w_j = L^{-1} A phi_j and r_j = L^{-T} w_j,
+    state is h and s1 = 1 + |r|^2 per candidate, and two append-only
+    matrices built from Q_S = A A^T + mu I = L L^T: the Gram-Schmidt basis
+    B = L^{-1} A (|S| x K) and G = L^{-1} L^{-T} (|S| x |S|, symmetric), so
+    that w_i = B phi_i = L^{-1} p_i and |r_i|^2 = w_i . G w_i.  Folding in
+    j, with w = B phi_j, z = G w (= L^{-1} r_j) and c = (1 + w . z) / h_j,
 
-        gamma = Phi (phi_j - A^T r_j) / h_j,   rho = Phi A^T Q_S^{-1} r_j,
-        h <- h - h_j gamma^2,   s <- s + gamma (gamma (|r_j|^2 + 1) - 2 rho),
+        b = (phi_j - B^T w) / sqrt(h_j),   g = Phi b,
+        rho = Phi (2 B^T z / sqrt(h_j)),
+        h <- h - g^2,   s1 <- s1 + g (c g - rho),
 
-    which is the paper's r_i <- [r_i - gamma_i r_j ; gamma_i] without
-    storing any r_i; L^{-1} gains the row [-r_j^T, 1] / sqrt(h_j).
-    A Schur complement at or below schur_threshold(q_ii) raises
-    DegenerateSchur.
+    which is the paper's r_i <- [r_i - gamma_i r_j ; gamma_i] with
+    gamma_i = g_i / sqrt(h_j), without storing any r_i.  B gains the row b
+    and G the row and column -z / sqrt(h_j) with corner c.  A Schur
+    complement at or below schur_threshold(q_ii) raises DegenerateSchur.
+    A selected row's h is set to +inf when it is picked, so that check
+    never names it; its cost is masked explicitly instead, because its s1
+    and h go on drifting under later folds.
 
     From depth K on the state is Ninv = (A^T A + mu I)^{-1} (K x K) with
-    d_i = phi_i . Ninv phi_i and e_i = |Ninv phi_i|^2, built once at the
-    switch.  There h_i = mu (1 + d_i) >= mu, so DegenerateSchur cannot
-    fire, and the cost is 1/mu - e_i / (1 + d_i): the argmax of the K-space
-    gain e_i / (1 + d_i) decides, with no 1/mu cancellation.  Folding in j
-    is Sherman-Morrison, with u = Ninv phi_j / sqrt(1 + d_j),
+    d1_i = 1 + phi_i . Ninv phi_i and e_i = |Ninv phi_i|^2, built once at
+    the switch.  There h_i = mu d1_i >= mu, so DegenerateSchur cannot
+    fire, and the cost is 1/mu - e_i / d1_i: the argmax of the K-space
+    gain e_i / d1_i decides, with no 1/mu cancellation.  A selected row's
+    e is set to -inf once, which keeps its gain at -inf since d1 >= 1.
+    Folding in j is Sherman-Morrison, with u = Ninv phi_j / sqrt(1 + d_j),
 
-        c = Phi u,   omega = Phi Ninv u,
-        d <- d - c^2,   e <- e + c (c |u|^2 - 2 omega),   Ninv <- Ninv - u u^T.
+        c = Phi u,   omega = Phi (2 Ninv u),
+        d1 <- d1 - c^2,   e <- e + c (c |u|^2 - omega),   Ninv <- Ninv - u u^T.
 
     Each accepted increment is exactly the growth of the submatrix
     objective, so the running trace stays consistent with from-scratch
@@ -193,8 +202,10 @@ class GreedyState:
     the gain), so ties go to the smallest index when the scores are
     bitwise equal; distinct rows with mathematically equal scores are
     ordered by rounding.  candidate_state and the chosen_* values give the
-    paper's p, r and h, computed from this state on request:
-    r = L^{-T} L^{-1} p up to depth K, r = A Ninv phi_i past it.
+    paper's p, r and h: h (and the cost) from the carried state, p and r
+    from a fresh Cholesky solve against the selected rows, made on request
+    only (r = Q_S^{-1} p below depth K, r = A (A^T A + mu I)^{-1} phi_i
+    from it on).
     """
 
     def __init__(self, phi, budget, mu):
@@ -207,17 +218,19 @@ class GreedyState:
         # up to depth K every candidate starts at r = [], h = q_ii, so the
         # first step() is the general fold with an empty selected set
         self._h = self.q_diag.copy()
-        self._s = np.zeros(n)
+        self._s1 = np.ones(n)
         side = min(self.budget, k)
-        self._a = np.empty((side, k))
-        self._linv = np.zeros((side, side))
-        # from depth K on: Ninv, d and e, built at the switch
-        self._ninv = self._d = self._e = None
-        self._candidate = np.ones(n, dtype=bool)
+        self._b = np.empty((side, k))
+        self._g = np.empty((side, side))
+        # from depth K on: Ninv, d1 and e, built at the switch
+        self._ninv = self._d1 = self._e = None
+        self._scratch = np.empty(n)
+        self._taken = np.zeros(n, dtype=bool)
         first = int(np.argmax(self.q_diag))
         self.selected = [first]
-        self._candidate[first] = False
+        self._taken[first] = True
         self.chosen_h = float(self.q_diag[first])
+        self._h[first] = np.inf
         self.objective_trace = [1.0 / self.chosen_h]
 
     @property
@@ -241,33 +254,37 @@ class GreedyState:
 
     def candidate_indices(self):
         """Unselected row indices, ascending."""
-        return np.flatnonzero(self._candidate)
+        return np.flatnonzero(~self._taken)
 
     def _border_solve(self, i):
-        """Border p_i and solve r_i = Q_S^{-1} p_i against selected[:depth]."""
+        """Border p_i and a fresh solve r_i = Q_S^{-1} p_i against selected[:depth]."""
         a = self.phi[self.selected[: self.depth]]
         p = a @ self.phi[i]
-        if self._ninv is None:
-            linv = self._linv[: self.depth, : self.depth]
-            return p, linv.T @ (linv @ p)
+        t, k = a.shape
+        if t < k:
+            q = a @ a.T
+            q[np.diag_indices(t)] += self.mu
+            return p, cho_solve(cholesky(q), p)
         # push-through: (A A^T + mu I)^{-1} A = A (A^T A + mu I)^{-1}
-        return p, a @ (self._ninv @ self.phi[i])
+        normal = a.T @ a
+        normal[np.diag_indices(k)] += self.mu
+        return p, a @ cho_solve(cholesky(normal), self.phi[i])
 
     def candidate_state(self, i):
         """Committed warm-start data for candidate i at the current depth."""
         i = int(i)
-        if not (0 <= i < self.phi.shape[0]) or not self._candidate[i]:
+        if not (0 <= i < self.phi.shape[0]) or self._taken[i]:
             raise IndexError(f"{i} is not an unselected candidate")
         if self.depth == 0:
             raise ValueError("no committed candidate data before the first step")
         p, r = self._border_solve(i)
         if self._ninv is None:
             h = float(self._h[i])
-            cost = (float(self._s[i]) + 1.0) / h
+            cost = float(self._s1[i]) / h
         else:
-            d, e = float(self._d[i]), float(self._e[i])
-            h = self.mu * (1.0 + d)
-            cost = 1.0 / self.mu - e / (1.0 + d)
+            d1, e = float(self._d1[i]), float(self._e[i])
+            h = self.mu * d1
+            cost = 1.0 / self.mu - e / d1
         return CandidateState(i, p, r, h, cost)
 
     def step(self):
@@ -280,73 +297,91 @@ class GreedyState:
             winner, increment, self.chosen_h = self._step_past_k()
         self.objective_trace.append(self.objective_trace[-1] + increment)
         self.selected.append(winner)
-        self._candidate[winner] = False
+        self._taken[winner] = True
         return winner
 
     def _step_below_k(self):
-        """Fold the last winner into the triangular form, then score by cost."""
+        """Fold the last winner into the basis, then score by cost."""
         t = len(self.selected) - 1
-        j = self.selected[-1]
-        phi_j, h_j = self.phi[j], self.chosen_h
-        a, linv = self._a[:t], self._linv[:t, :t]
-        w = linv @ (a @ phi_j)
-        r_j = linv.T @ w
-        # two gemv passes over phi, x1 = phi_j - A^T r_j giving
-        # q_ij - p_i . r_j and x2 giving r_j . r_i; with OpenBLAS 0.3.31 on
-        # 2 cores one phi @ [x1, x2] took 1.6x as long at 5000 x 500
-        gamma = self.phi @ (phi_j - a.T @ r_j)
-        gamma /= h_j
-        rho = self.phi @ (a.T @ (linv.T @ (linv @ r_j)))
-        self._h -= h_j * gamma**2
-        self._s += gamma * (gamma * (float(r_j @ r_j) + 1.0) - 2.0 * rho)
-        self._a[t] = phi_j
-        root = math.sqrt(h_j)
-        self._linv[t, :t] = -r_j / root
-        self._linv[t, t] = 1.0 / root
-        h = self._h
-        bad = self._candidate & ~(h > self._floor)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
+        h_j = self.chosen_h
+        phi_j, root = self.phi[self.selected[-1]], math.sqrt(h_j)
+        b = self._b[:t]
+        w = b @ phi_j
+        z = self._g[:t, :t] @ w
+        corner = (1.0 + float(w @ z)) / h_j
+        # B^T w and B^T z in one product, which at t = 250, K = 500 takes
+        # 0.68 of the time of two (2 vCPUs, OpenBLAS 0.3.31)
+        bw, bz = np.stack((w, z)) @ b
+        b_new = self._b[t]
+        np.subtract(phi_j, bw, out=b_new)
+        b_new /= root
+        self._g[t, :t] = self._g[:t, t] = z / -root
+        self._g[t, t] = corner
+        # two gemv passes over phi, giving g = (q_ij - p_i . r_j) / sqrt(h_j)
+        # and rho = 2 r_j . r_i / sqrt(h_j); one product with both vectors
+        # is slower (2 vCPUs, OpenBLAS 0.3.31, min of 7): phi @ [b_new, x]
+        # took 1.73x the time of the two gemvs at 5000 x 500 and 1.57x at
+        # 10000 x 100, [b_new, x]^T @ phi^T 1.20x and 1.38x
+        x = bz * (2.0 / root)
+        g = self.phi @ b_new
+        rho = self.phi @ x
+        h, tmp = self._h, self._scratch
+        np.multiply(g, corner, out=tmp)
+        tmp -= rho
+        tmp *= g
+        self._s1 += tmp
+        g *= g
+        h -= g
+        if not (h > self._floor).all():
+            i = int(np.flatnonzero(~(h > self._floor))[0])
             raise DegenerateSchur(f"candidate {i}: schur complement {h[i]:.6e} at or below floor")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cost = (self._s + 1.0) / h
-        cost[~self._candidate] = np.inf
+        cost = np.divide(self._s1, h, out=tmp)
+        cost[self._taken] = np.inf
         winner = int(np.argmin(cost))
-        return winner, float(cost[winner]), float(h[winner])
+        h_w = float(h[winner])
+        h[winner] = np.inf
+        return winner, float(cost[winner]), h_w
 
     def _step_past_k(self):
         """Fold the last winner into Ninv by Sherman-Morrison, then score by gain."""
         if self._ninv is None:
             # the switch at depth K: build the K-space state once and drop
-            # the triangular one
+            # the basis
             a = self.phi[self.selected]
             normal = a.T @ a
             normal[np.diag_indices_from(normal)] += self.mu
             linv = np.linalg.inv(cholesky(normal))
             self._ninv = linv.T @ linv
             n, k = self.phi.shape
-            self._d, self._e = np.empty(n), np.empty(n)
+            self._d1, self._e = np.empty(n), np.empty(n)
             step = max(1, _SWITCH_ENTRIES // k)
             for lo in range(0, n, step):
                 rows = self.phi[lo : lo + step]
                 b = rows @ self._ninv
-                self._d[lo : lo + step] = np.einsum("ij,ij->i", b, rows)
+                self._d1[lo : lo + step] = np.einsum("ij,ij->i", b, rows)
                 self._e[lo : lo + step] = np.einsum("ij,ij->i", b, b)
-            self._h = self._s = self._a = self._linv = None
+            self._d1 += 1.0
+            self._e[self.selected] = -np.inf
+            self._h = self._s1 = self._b = self._g = None
         else:
             phi_j = self.phi[self.selected[-1]]
             v = self._ninv @ phi_j
             u = v / math.sqrt(1.0 + float(phi_j @ v))
             c = self.phi @ u
-            omega = self.phi @ (self._ninv @ u)
-            self._d -= c * c
-            self._e += c * (c * float(u @ u) - 2.0 * omega)
+            omega = self.phi @ (self._ninv @ (u + u))
+            tmp = self._scratch
+            np.multiply(c, float(u @ u), out=tmp)
+            tmp -= omega
+            tmp *= c
+            self._e += tmp
+            c *= c
+            self._d1 -= c
             self._ninv -= np.outer(u, u)
-        gain = self._e / (1.0 + self._d)
-        gain[~self._candidate] = -np.inf
+        gain = np.divide(self._e, self._d1, out=self._scratch)
         winner = int(np.argmax(gain))
-        h = self.mu * (1.0 + float(self._d[winner]))
-        return winner, 1.0 / self.mu - float(gain[winner]), h
+        g_w = float(gain[winner])
+        self._e[winner] = -np.inf
+        return winner, 1.0 / self.mu - g_w, self.mu * float(self._d1[winner])
 
 
 def fmbs_select(phi, m, mu):

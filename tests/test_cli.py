@@ -138,6 +138,17 @@ def test_place_solver_failure_exits_3(tmp_path):
     assert code == 3  # subset enumeration guard trips
 
 
+def test_place_degenerate_schur_exits_3(tmp_path):
+    # a copy of the first pick at mu = 1e-13 trips DegenerateSchur
+    base = np.random.default_rng(5).standard_normal((8, 6))
+    matrix = tmp_path / "dup.bin"
+    save_matrix(matrix, np.vstack([base, base[7]]))
+    code = run_cli(["place", "--matrix", str(matrix), "--budget", "9", "--method", "fmbs",
+                    "--mu", "1e-13", "--out", str(tmp_path / "x.json")])
+    assert code == 3
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_place_deterministic_modulo_timing(phi3_file, tmp_path):
     argv = ["place", "--matrix", str(phi3_file), "--budget", "2", "--method", "fmbs",
             "--seed", "4"]

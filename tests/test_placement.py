@@ -6,6 +6,7 @@ import pytest
 
 from fmbs import (
     BudgetError,
+    DegenerateSchur,
     FmbsError,
     GreedyState,
     Model,
@@ -354,6 +355,31 @@ def test_greedy_state_small_mu(model):
         assert abs(cand.h - chosen_h) <= 1e-12 * cand.h, s
 
 
+def test_greedy_state_degenerate_schur_names_candidate():
+    # row 8 copies row 7, the first pick; at mu = 1e-13 its Schur
+    # complement against its selected twin falls below the floor after the
+    # first fold, and the error names the copy, never the selected row
+    base = np.random.default_rng(5).standard_normal((8, 6))
+    phi = np.vstack([base, base[7]])
+    state = GreedyState(phi, 9, 1e-13)
+    assert state.selected == [7]
+    with pytest.raises(DegenerateSchur, match=r"^candidate 8: "):
+        state.step()
+    with pytest.raises(DegenerateSchur, match=r"^candidate 8: "):
+        fmbs_select(phi, 9, 1e-13)
+
+
+def test_selected_rows_excluded_in_both_regimes():
+    # rows 4-7 copy rows 0-3, row 8 is zero and rows 9-10 copy rows 0-1:
+    # a full-budget run takes every row once, up to depth K and past it,
+    # in greedy-direct's order
+    base = np.random.default_rng(3).standard_normal((4, 3))
+    phi = np.vstack([base, base, np.zeros((1, 3)), base[:2]])
+    indices = fmbs_select(phi, phi.shape[0], MU).indices
+    assert sorted(indices) == list(range(phi.shape[0]))
+    assert indices == direct_greedy_select(phi, phi.shape[0], MU).indices
+
+
 def test_greedy_state_memory_is_one_block():
     # the state is a few N-vectors and K x K matrices: no budget x N or
     # depth x N array is ever held, so the peak stays far below one block
@@ -421,6 +447,15 @@ def test_fmbs_picks_score_as_exact_best(n, k, m, seed):
     indices = fmbs_select(phi, m, MU).indices
     assert_picks_exact_best(phi, indices, 1)
     assert direct_greedy_select(phi, k + 1, MU).indices == indices[: k + 1]
+
+
+@pytest.mark.parametrize("n,k,m", [(500, 20, 60), (2000, 50, 150)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fmbs_picks_score_as_exact_best_bernoulli(n, k, m, seed):
+    # {0, 1} rows tie exactly, and rounding orders the ties; whichever
+    # wins, every pick scores as the exact best
+    phi = generate(ModelSpec(Model.BERNOULLI, n, k, seed))
+    assert_picks_exact_best(phi, fmbs_select(phi, m, MU).indices, 1)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
