@@ -3,8 +3,8 @@
 Run from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_10.json \\
-        --pairs wide=10 --pairs deep=3 --pairs sweep=3 --pairs oracle=3 \\
-        --trace wide --trace deep --seed 1001
+        --pairs wide=10 --pairs deep=5 --pairs sweep=10 --pairs oracle=10 \\
+        --trace wide --trace deep --seed 2001
 
 The parent side is the tree of the --parent revision, exported with
 ``git archive``; the change side is the working tree as ``git add -A``
@@ -12,8 +12,9 @@ would commit it (tracked and untracked files, ignored ones left out).
 Each side runs from its own temporary copy, one run after another, and
 within a pair the side that runs first alternates from one pair to the
 next.  Pair i of a workload runs ``perfbench/run.py --workload W --seed
-SEED+i --trace 0``; each --trace workload adds one ``--trace 1`` pair at
-seed SEED+100.  BLAS threads are read, never set, as in perfbench itself.
+SEED+i --trace 0`` for the ``run_seconds`` of BENCHMARK.json; each
+--trace workload adds one ``--trace 1`` pair at seed SEED+100.  BLAS
+threads are read, never set, as in perfbench itself.
 
 The output has the layout of the earlier BENCH files: the commits, the
 command, notes, and a set ``set_final`` with the seeds, the run order,
@@ -120,8 +121,6 @@ def main(argv=None):
     parser.add_argument("--trace", action="append", default=[], metavar="WORKLOAD",
                         help="workload to run one --trace 1 pair on")
     parser.add_argument("--seed", type=int, default=1001, help="seed of each workload's first pair")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="measuring time per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
     if not args.pairs and not args.trace:
         parser.error("nothing to run: give --pairs or --trace")
@@ -131,7 +130,7 @@ def main(argv=None):
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
     parent_commit = git("rev-parse", args.parent).decode().strip()
     base = git("rev-parse", "HEAD").decode().strip()
     seeds = {w: [args.seed + i for i in range(count)] for w, count in pairs.items()}
