@@ -8,8 +8,8 @@ Subcommands:
 * ``scaling``  wall-time sweeps with a fitted log-log slope report.
 
 Exit codes: 0 on success, 2 on flag or input validation problems, 3 when a
-selection method fails numerically (the message names the error, e.g.
-DegenerateSchur or NotPositiveDefinite).
+selection or its evaluation fails (the message names the error, e.g.
+DegenerateSchur, NotPositiveDefinite or TooLarge).
 
 Timing covers selection only, never matrix generation, MSE evaluation or
 I/O.  ``bench`` runs each greedy method (fmbs, greedy-direct) once per trial
@@ -94,11 +94,7 @@ def _cmd_place(args, parser):
     if not 1 <= args.budget <= n:
         parser.error(f"--budget must be in [1, {n}] for this matrix, got {args.budget}")
     start = time.perf_counter()
-    try:
-        result = _select(args.method, phi, args.budget, args.mu, args.seed)
-    except FmbsError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    result = _select(args.method, phi, args.budget, args.mu, args.seed)
     wall = time.perf_counter() - start
     payload = {
         "method": result.method,
@@ -140,30 +136,26 @@ def _cmd_bench(args, parser):
         parser.error(f"--trials must be at least 1, got {args.trials}")
 
     results = []
-    try:
-        for trial in range(args.trials):
-            spec = ModelSpec(Model(args.model), args.n, args.k, _child_seed(args.seed, 0, trial))
-            phi = generate(spec)
-            for method in methods:
-                if method in _NESTED_METHODS:
-                    result = _select(method, phi, max(budgets), args.mu, None)
-                    runs = [
-                        (m, result.indices[:m], sum(result.step_times_ns[:m]) / 1e9)
-                        for m in budgets
-                    ]
-                else:
-                    runs = []
-                    for m in budgets:
-                        sampler_seed = _child_seed(args.seed, 1, trial, METHODS.index(method), m)
-                        start = time.perf_counter()
-                        result = _select(method, phi, m, args.mu, sampler_seed)
-                        runs.append((m, result.indices, time.perf_counter() - start))
-                for m, indices, seconds in runs:
-                    mse = expected_mse(phi, indices, args.sigma2)
-                    results.append((method, m, trial, mse, seconds, indices))
-    except FmbsError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    for trial in range(args.trials):
+        spec = ModelSpec(Model(args.model), args.n, args.k, _child_seed(args.seed, 0, trial))
+        phi = generate(spec)
+        for method in methods:
+            if method in _NESTED_METHODS:
+                result = _select(method, phi, max(budgets), args.mu, None)
+                runs = [
+                    (m, result.indices[:m], sum(result.step_times_ns[:m]) / 1e9)
+                    for m in budgets
+                ]
+            else:
+                runs = []
+                for m in budgets:
+                    sampler_seed = _child_seed(args.seed, 1, trial, METHODS.index(method), m)
+                    start = time.perf_counter()
+                    result = _select(method, phi, m, args.mu, sampler_seed)
+                    runs.append((m, result.indices, time.perf_counter() - start))
+            for m, indices, seconds in runs:
+                mse = expected_mse(phi, indices, args.sigma2)
+                results.append((method, m, trial, mse, seconds, indices))
     results.sort(key=lambda row: (row[0], row[1], row[2]))
 
     _write_csv(
@@ -244,22 +236,18 @@ def _cmd_scaling(args, parser):
 
     # repeats are interleaved across points (and every point gets one untimed
     # warm-up) so transient machine load distorts ratios between points less
-    try:
-        matrices = [
-            generate(ModelSpec(Model.GAUSSIAN, n, k, _child_seed(args.seed, n, k, m)))
-            for n, k, m in points
-        ]
-        seconds = [[] for _ in points]
-        for rep in range(-1, args.repeats):
-            for idx, (n, k, m) in enumerate(points):
-                sampler_seed = _child_seed(args.seed, 2, max(rep, 0))
-                start = time.perf_counter()
-                _select(args.method, matrices[idx], m, args.mu, sampler_seed)
-                if rep >= 0:
-                    seconds[idx].append(time.perf_counter() - start)
-    except FmbsError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    matrices = [
+        generate(ModelSpec(Model.GAUSSIAN, n, k, _child_seed(args.seed, n, k, m)))
+        for n, k, m in points
+    ]
+    seconds = [[] for _ in points]
+    for rep in range(-1, args.repeats):
+        for idx, (n, k, m) in enumerate(points):
+            sampler_seed = _child_seed(args.seed, 2, max(rep, 0))
+            start = time.perf_counter()
+            _select(args.method, matrices[idx], m, args.mu, sampler_seed)
+            if rep >= 0:
+                seconds[idx].append(time.perf_counter() - start)
     rows = []
     mins = []
     for idx, (n, k, m) in enumerate(points):
@@ -279,21 +267,22 @@ def _cmd_scaling(args, parser):
     return 0
 
 
-def _checked_float(ok, what):
-    """Argparse type: a float for which ok(value) holds; NaN fails every bound."""
+def _checked(kind, ok, what):
+    """Argparse type: kind(text) for which ok(value) holds; NaN fails every bound."""
 
     def parse(text):
-        value = float(text)
+        value = kind(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"{what}, got {text}")
         return value
 
-    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
 def _add_common_seed(sub):
-    sub.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    sub.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "must be non-negative"),
+                     default=0, help="non-negative root seed (default 0)")
 
 
 def build_parser():
@@ -302,7 +291,7 @@ def build_parser():
         description="Greedy sensor placement benchmark harness for linear inverse problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    mu_type = _checked_float(lambda v: 0.0 < v < np.inf, "must be positive and finite")
+    mu_type = _checked(float, lambda v: 0.0 < v < np.inf, "must be positive and finite")
 
     gen = sub.add_parser("gen", help="write a seeded random measurement matrix")
     gen.add_argument("--model", type=int, required=True, choices=(1, 2),
@@ -317,7 +306,10 @@ def build_parser():
 
     place = sub.add_parser("place", help="run one selection method on a stored matrix")
     place.add_argument("--matrix", required=True, help="matrix file (binary or csv)")
-    place.add_argument("--budget", type=int, required=True, help="number of rows to select")
+    place.add_argument("--budget", type=int, required=True,
+                       help="number of rows to select; a least-squares design needs at least "
+                            "as many as the matrix has columns (K), and with fmbs a budget far "
+                            "below K still reads the whole matrix every step")
     place.add_argument("--mu", type=mu_type, default=1e-4,
                        help="positive objective shift (default 1e-4)")
     place.add_argument("--method", required=True, choices=METHODS)
@@ -335,7 +327,7 @@ def build_parser():
                        help="independent matrix draws per cell (default 10)")
     bench.add_argument("--mu", type=mu_type, default=1e-4)
     bench.add_argument("--sigma2", default=1.0,
-                       type=_checked_float(lambda v: 0.0 <= v < np.inf,
+                       type=_checked(float, lambda v: 0.0 <= v < np.inf,
                                            "must be nonnegative and finite"),
                        help="noise variance in the recorded MSE (default 1)")
     _add_common_seed(bench)
@@ -359,7 +351,7 @@ def build_parser():
     scaling.add_argument("--k", type=int, default=None,
                          help="parameter count (default: matches the budget)")
     scaling.add_argument("--fraction", default=0.1,
-                         type=_checked_float(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+                         type=_checked(float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
                          help="budget fraction of n for --sweep n without --m (default 0.1)")
     scaling.add_argument("--method", default="fmbs", choices=METHODS)
     scaling.add_argument("--mu", type=mu_type, default=1e-4)
@@ -375,7 +367,11 @@ def build_parser():
 def main(argv=None):
     parser, subs = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, subs[args.command])
+    try:
+        return args.handler(args, subs[args.command])
+    except FmbsError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

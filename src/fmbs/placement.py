@@ -5,20 +5,29 @@ a time, appending the row whose addition increases the submatrix objective
 tr(Q_S^{-1}), Q = Phi Phi^T + mu I, the least.  The paper scores row i by
 (|r_i|^2 + 1) / h_i, with r_i = Q_S^{-1} p_i the solve of its border vector
 p_i and h_i = q_ii - p_i . r_i its Schur complement.  ``GreedyState``
-carries two N-vectors of per-candidate state across steps and never stores
-r_i or p_i, in two regimes:
+never stores r_i or p_i.  It carries two N-vectors a and b, scores
+candidate i by b_i / a_i and picks the first minimum.  Each step folds
+the last winner in by one rank-one update, made with two matrix-vector
+products with Phi,
 
-* up to depth K (|S| < K): h_i and 1 + |r_i|^2, advanced through the
-  append-only Gram-Schmidt basis B = L^{-1} A of the selected rows A and
-  G = L^{-1} L^{-T}, for Q_S = L L^T (the incremental Cholesky form of
-  fast greedy MAP inference, kept for the selected block alone);
-* from depth K on: 1 + d_i, d_i = phi_i . Ninv phi_i, and
-  e_i = |Ninv phi_i|^2 for the K x K inverse Ninv = (A^T A + mu I)^{-1},
-  advanced by Sherman-Morrison.  A candidate's increment is
-  1/mu - e_i / (1 + d_i), so the K-space gain e_i / (1 + d_i) decides
-  without any 1/mu cancellation, at every mu > 0.
+    c1 = Phi u1,   c2 = Phi u2,   a <- a - c1^2,   b <- b + c1 (kappa c1 - c2),
 
-Each step makes two matrix-vector products with Phi plus O(K^2 + |S| K)
+and the two depth regimes differ only in what a and b hold and in how the
+small state yields the K-vectors u1, u2 and the scalar kappa:
+
+    depth       a         b             small state   increment
+    |S| < K     h_i       1 + |r_i|^2   B and G       b_i / a_i
+    |S| >= K    1 + d_i   -e_i          Ninv          1/mu + b_i / a_i
+
+Below K, B = L^{-1} A is the append-only Gram-Schmidt basis of the
+selected rows A and G = L^{-1} L^{-T}, for Q_S = L L^T (the incremental
+Cholesky form of fast greedy MAP inference, kept for the selected block
+alone).  From depth K on, Ninv = (A^T A + mu I)^{-1} (K x K) is advanced
+by Sherman-Morrison, with d_i = phi_i . Ninv phi_i and e_i = |Ninv phi_i|^2;
+the score there is minus the K-space gain e_i / (1 + d_i), which decides
+without any 1/mu cancellation, at every mu > 0.
+
+A step costs two matrix-vector products with Phi plus O(K^2 + |S| K)
 work on small matrices (three reads of B and one of G up to depth K), so
 a run at budget M costs O(N K M) and holds O(N + K^2) state; r_i and p_i
 are computed afresh, on request only.  For M well below K a step reads
@@ -157,49 +166,52 @@ class GreedyState:
     Construction computes the shifted squared row norms q_ii = |phi_i|^2 + mu
     and immediately selects argmax_i q_ii.  Each step() first folds the
     previous winner j into the selected set S, then scores every candidate
-    against S and accepts the best one.  The per-candidate state is two
-    N-vectors, and a step makes two matrix-vector products with phi (N x K)
-    plus O(K^2 + |S| K) work on small matrices; the state is O(N + K^2).
+    against S and accepts the best one.  The per-candidate state is the two
+    N-vectors a and b, and a step makes two matrix-vector products with phi
+    (N x K) plus O(K^2 + |S| K) work on small matrices; the state is
+    O(N + K^2).  Candidate i scores b_i / a_i, and the fold of j is
 
-    Up to depth K (|S| < K) candidate i is scored by the paper's cost
+        c1 = Phi u1,   c2 = Phi u2,   a <- a - c1^2,   b <- b + c1 (kappa c1 - c2),
+
+    with a, b, u1, u2 and kappa per regime as follows.
+
+    Up to depth K (|S| < K), a = h and b = 1 + |r|^2, so the score is the
+    paper's cost
 
         cost_i = (|r_i|^2 + 1) / h_i,   r_i = Q_S^{-1} p_i,
         h_i = q_ii - p_i . r_i,
 
     where p_i = A phi_i is its border against the selected rows A.  The
-    state is h and s1 = 1 + |r|^2 per candidate, and two append-only
-    matrices built from Q_S = A A^T + mu I = L L^T: the Gram-Schmidt basis
-    B = L^{-1} A (|S| x K) and G = L^{-1} L^{-T} (|S| x |S|, symmetric), so
-    that w_i = B phi_i = L^{-1} p_i and |r_i|^2 = w_i . G w_i.  Folding in
-    j, with w = B phi_j, z = G w (= L^{-1} r_j) and c = (1 + w . z) / h_j,
+    small state is two append-only matrices built from
+    Q_S = A A^T + mu I = L L^T: the Gram-Schmidt basis B = L^{-1} A
+    (|S| x K) and G = L^{-1} L^{-T} (|S| x |S|, symmetric), so that
+    w_i = B phi_i = L^{-1} p_i and |r_i|^2 = w_i . G w_i.  Folding in j,
+    with w = B phi_j, z = G w (= L^{-1} r_j) and the corner
+    kappa = (1 + w . z) / h_j,
 
-        b = (phi_j - B^T w) / sqrt(h_j),   g = Phi b,
-        rho = Phi (2 B^T z / sqrt(h_j)),
-        h <- h - g^2,   s1 <- s1 + g (c g - rho),
+        u1 = (phi_j - B^T w) / sqrt(h_j),   u2 = 2 B^T z / sqrt(h_j),
 
     which is the paper's r_i <- [r_i - gamma_i r_j ; gamma_i] with
-    gamma_i = g_i / sqrt(h_j), without storing any r_i.  B gains the row b
-    and G the row and column -z / sqrt(h_j) with corner c.  A Schur
-    complement at or below schur_threshold(q_ii) raises DegenerateSchur.
-    A selected row's h is set to +inf when it is picked, so that check
-    never names it; its cost is masked explicitly instead, because its s1
-    and h go on drifting under later folds.
+    gamma_i = (Phi u1)_i / sqrt(h_j), without storing any r_i.  B gains
+    the row u1 and G the row and column -z / sqrt(h_j) with corner kappa.
+    A Schur complement at or below schur_threshold(q_ii) raises
+    DegenerateSchur.
 
-    From depth K on the state is Ninv = (A^T A + mu I)^{-1} (K x K) with
-    d1_i = 1 + phi_i . Ninv phi_i and e_i = |Ninv phi_i|^2, built once at
-    the switch.  There h_i = mu d1_i >= mu, so DegenerateSchur cannot
-    fire, and the cost is 1/mu - e_i / d1_i: the argmax of the K-space
-    gain e_i / d1_i decides, with no 1/mu cancellation.  A selected row's
-    e is set to -inf once, which keeps its gain at -inf since d1 >= 1.
+    At depth K the state is rebuilt once from the selected rows, in row
+    blocks of Phi: Ninv = (A^T A + mu I)^{-1} (K x K), a = 1 + d with
+    d_i = phi_i . Ninv phi_i, and b = -e with e_i = |Ninv phi_i|^2; B and G
+    are dropped.  From there on h_i = mu a_i >= mu, so DegenerateSchur
+    cannot fire, and the cost is 1/mu + b_i / a_i: the score is minus the
+    K-space gain e_i / (1 + d_i), which decides with no 1/mu cancellation.
     Folding in j is Sherman-Morrison, with u = Ninv phi_j / sqrt(1 + d_j),
 
-        c = Phi u,   omega = Phi (2 Ninv u),
-        d1 <- d1 - c^2,   e <- e + c (c |u|^2 - omega),   Ninv <- Ninv - u u^T.
+        u1 = u,   u2 = -2 Ninv u,   kappa = -|u|^2,   Ninv <- Ninv - u u^T.
 
     Each accepted increment is exactly the growth of the submatrix
     objective, so the running trace stays consistent with from-scratch
-    evaluation.  The winner is the first minimum of the cost (maximum of
-    the gain), so ties go to the smallest index when the scores are
+    evaluation.  Selected rows score +inf, and a winner's a is set to +inf,
+    so the floor check never names it.  The winner is the first minimum of
+    the score, so ties go to the smallest index when the scores are
     bitwise equal; distinct rows with mathematically equal scores are
     ordered by rounding.  candidate_state and the chosen_* values give the
     paper's p, r and h: h (and the cost) from the carried state, p and r
@@ -215,22 +227,21 @@ class GreedyState:
         self.mu = _check_mu(mu)
         self.q_diag = np.einsum("ij,ij->i", self.phi, self.phi) + self.mu
         self._floor = schur_threshold(self.q_diag)
-        # up to depth K every candidate starts at r = [], h = q_ii, so the
-        # first step() is the general fold with an empty selected set
-        self._h = self.q_diag.copy()
-        self._s1 = np.ones(n)
+        # every candidate starts at r = [], h = q_ii, so the first step() is
+        # the general fold with an empty selected set
+        self._a = self.q_diag.copy()
+        self._b = np.ones(n)
         side = min(self.budget, k)
-        self._b = np.empty((side, k))
+        self._basis = np.empty((side, k))
         self._g = np.empty((side, side))
-        # from depth K on: Ninv, d1 and e, built at the switch
-        self._ninv = self._d1 = self._e = None
+        self._ninv = None
         self._scratch = np.empty(n)
         self._taken = np.zeros(n, dtype=bool)
         first = int(np.argmax(self.q_diag))
         self.selected = [first]
         self._taken[first] = True
         self.chosen_h = float(self.q_diag[first])
-        self._h[first] = np.inf
+        self._a[first] = np.inf
         self.objective_trace = [1.0 / self.chosen_h]
 
     @property
@@ -270,6 +281,12 @@ class GreedyState:
         normal[np.diag_indices(k)] += self.mu
         return p, a @ cho_solve(cholesky(normal), self.phi[i])
 
+    def _h_and_cost(self, a, score):
+        """Schur complement and cost of a candidate from its a and its score b / a."""
+        if self._ninv is None:
+            return a, score
+        return self.mu * a, 1.0 / self.mu + score
+
     def candidate_state(self, i):
         """Committed warm-start data for candidate i at the current depth."""
         i = int(i)
@@ -278,110 +295,96 @@ class GreedyState:
         if self.depth == 0:
             raise ValueError("no committed candidate data before the first step")
         p, r = self._border_solve(i)
-        if self._ninv is None:
-            h = float(self._h[i])
-            cost = float(self._s1[i]) / h
-        else:
-            d1, e = float(self._d1[i]), float(self._e[i])
-            h = self.mu * d1
-            cost = 1.0 / self.mu - e / d1
+        a = float(self._a[i])
+        h, cost = self._h_and_cost(a, float(self._b[i]) / a)
         return CandidateState(i, p, r, h, cost)
 
     def step(self):
         """Run one greedy iteration and return the accepted row index."""
         if self.complete:
             raise BudgetError("selection already complete")
-        if len(self.selected) < self.phi.shape[1]:
-            winner, increment, self.chosen_h = self._step_below_k()
+        below_k = len(self.selected) < self.phi.shape[1]
+        if below_k:
+            self._fold(*self._extend_basis())
+        elif self._ninv is None:
+            self._switch()
         else:
-            winner, increment, self.chosen_h = self._step_past_k()
+            self._fold(*self._downdate_ninv())
+        a = self._a
+        if below_k and not (a > self._floor).all():
+            i = int(np.flatnonzero(~(a > self._floor))[0])
+            raise DegenerateSchur(f"candidate {i}: schur complement {a[i]:.6e} at or below floor")
+        score = np.divide(self._b, a, out=self._scratch)
+        score[self._taken] = np.inf
+        winner = int(np.argmin(score))
+        self.chosen_h, increment = self._h_and_cost(float(a[winner]), float(score[winner]))
+        a[winner] = np.inf
         self.objective_trace.append(self.objective_trace[-1] + increment)
         self.selected.append(winner)
         self._taken[winner] = True
         return winner
 
-    def _step_below_k(self):
-        """Fold the last winner into the basis, then score by cost."""
+    def _fold(self, u1, u2, kappa):
+        """Fold the last winner into every candidate's a and b in place."""
+        # two gemv passes over phi; one product with both vectors is slower
+        # (2 vCPUs, OpenBLAS 0.3.31, min of 7): phi @ [u1, u2] took 1.73x
+        # the time of the two gemvs at 5000 x 500 and 1.57x at 10000 x 100,
+        # [u1, u2]^T @ phi^T 1.20x and 1.38x
+        c1 = self.phi @ u1
+        c2 = self.phi @ u2
+        tmp = self._scratch
+        np.multiply(c1, kappa, out=tmp)
+        tmp -= c2
+        tmp *= c1
+        self._b += tmp
+        c1 *= c1
+        self._a -= c1
+
+    def _extend_basis(self):
+        """Append the last winner to B and G; return its u1, u2 and kappa."""
         t = len(self.selected) - 1
         h_j = self.chosen_h
         phi_j, root = self.phi[self.selected[-1]], math.sqrt(h_j)
-        b = self._b[:t]
-        w = b @ phi_j
+        basis = self._basis[:t]
+        w = basis @ phi_j
         z = self._g[:t, :t] @ w
         corner = (1.0 + float(w @ z)) / h_j
         # B^T w and B^T z in one product, which at t = 250, K = 500 takes
         # 0.68 of the time of two (2 vCPUs, OpenBLAS 0.3.31)
-        bw, bz = np.stack((w, z)) @ b
-        b_new = self._b[t]
-        np.subtract(phi_j, bw, out=b_new)
-        b_new /= root
+        bw, bz = np.stack((w, z)) @ basis
+        u1 = self._basis[t]
+        np.subtract(phi_j, bw, out=u1)
+        u1 /= root
         self._g[t, :t] = self._g[:t, t] = z / -root
         self._g[t, t] = corner
-        # two gemv passes over phi, giving g = (q_ij - p_i . r_j) / sqrt(h_j)
-        # and rho = 2 r_j . r_i / sqrt(h_j); one product with both vectors
-        # is slower (2 vCPUs, OpenBLAS 0.3.31, min of 7): phi @ [b_new, x]
-        # took 1.73x the time of the two gemvs at 5000 x 500 and 1.57x at
-        # 10000 x 100, [b_new, x]^T @ phi^T 1.20x and 1.38x
-        x = bz * (2.0 / root)
-        g = self.phi @ b_new
-        rho = self.phi @ x
-        h, tmp = self._h, self._scratch
-        np.multiply(g, corner, out=tmp)
-        tmp -= rho
-        tmp *= g
-        self._s1 += tmp
-        g *= g
-        h -= g
-        if not (h > self._floor).all():
-            i = int(np.flatnonzero(~(h > self._floor))[0])
-            raise DegenerateSchur(f"candidate {i}: schur complement {h[i]:.6e} at or below floor")
-        cost = np.divide(self._s1, h, out=tmp)
-        cost[self._taken] = np.inf
-        winner = int(np.argmin(cost))
-        h_w = float(h[winner])
-        h[winner] = np.inf
-        return winner, float(cost[winner]), h_w
+        return u1, bz * (2.0 / root), corner
 
-    def _step_past_k(self):
-        """Fold the last winner into Ninv by Sherman-Morrison, then score by gain."""
-        if self._ninv is None:
-            # the switch at depth K: build the K-space state once and drop
-            # the basis
-            a = self.phi[self.selected]
-            normal = a.T @ a
-            normal[np.diag_indices_from(normal)] += self.mu
-            linv = np.linalg.inv(cholesky(normal))
-            self._ninv = linv.T @ linv
-            n, k = self.phi.shape
-            self._d1, self._e = np.empty(n), np.empty(n)
-            step = max(1, _SWITCH_ENTRIES // k)
-            for lo in range(0, n, step):
-                rows = self.phi[lo : lo + step]
-                b = rows @ self._ninv
-                self._d1[lo : lo + step] = np.einsum("ij,ij->i", b, rows)
-                self._e[lo : lo + step] = np.einsum("ij,ij->i", b, b)
-            self._d1 += 1.0
-            self._e[self.selected] = -np.inf
-            self._h = self._s1 = self._b = self._g = None
-        else:
-            phi_j = self.phi[self.selected[-1]]
-            v = self._ninv @ phi_j
-            u = v / math.sqrt(1.0 + float(phi_j @ v))
-            c = self.phi @ u
-            omega = self.phi @ (self._ninv @ (u + u))
-            tmp = self._scratch
-            np.multiply(c, float(u @ u), out=tmp)
-            tmp -= omega
-            tmp *= c
-            self._e += tmp
-            c *= c
-            self._d1 -= c
-            self._ninv -= np.outer(u, u)
-        gain = np.divide(self._e, self._d1, out=self._scratch)
-        winner = int(np.argmax(gain))
-        g_w = float(gain[winner])
-        self._e[winner] = -np.inf
-        return winner, 1.0 / self.mu - g_w, self.mu * float(self._d1[winner])
+    def _switch(self):
+        """Rebuild Ninv, a and b from the selected rows at depth K; drop B and G."""
+        chosen = self.phi[self.selected]
+        normal = chosen.T @ chosen
+        normal[np.diag_indices_from(normal)] += self.mu
+        linv = np.linalg.inv(cholesky(normal))
+        self._ninv = linv.T @ linv
+        n, k = self.phi.shape
+        step = max(1, _SWITCH_ENTRIES // k)
+        for lo in range(0, n, step):
+            rows = self.phi[lo : lo + step]
+            v = rows @ self._ninv
+            np.einsum("ij,ij->i", v, rows, out=self._a[lo : lo + step])
+            np.einsum("ij,ij->i", v, v, out=self._b[lo : lo + step])
+        self._a += 1.0
+        np.negative(self._b, out=self._b)
+        self._basis = self._g = None
+
+    def _downdate_ninv(self):
+        """Sherman-Morrison downdate of Ninv by the last winner; return u1, u2 and kappa."""
+        phi_j = self.phi[self.selected[-1]]
+        v = self._ninv @ phi_j
+        u = v / math.sqrt(1.0 + float(phi_j @ v))
+        u2 = -(self._ninv @ (u + u))
+        self._ninv -= np.outer(u, u)
+        return u, u2, -float(u @ u)
 
 
 def fmbs_select(phi, m, mu):

@@ -131,11 +131,21 @@ def test_place_bad_flags_exit_2(tmp_path):
 
 
 def test_place_solver_failure_exits_3(tmp_path):
+    # the subset enumeration guard trips (C(40, 15) and C(30, 10) subsets)
+    # and ends every subcommand with exit 3 and no output
     matrix = tmp_path / "m.bin"
     run_cli(["gen", "--model", "1", "--n", "40", "--k", "2", "--seed", "0", "--out", str(matrix)])
-    code = run_cli(["place", "--matrix", str(matrix), "--budget", "15",
-                    "--method", "exhaustive", "--out", str(tmp_path / "x.json")])
-    assert code == 3  # subset enumeration guard trips
+    out = tmp_path / "x.out"
+    argvs = [
+        ["place", "--matrix", str(matrix), "--budget", "15", "--method", "exhaustive"],
+        ["bench", "--model", "1", "--n", "30", "--k", "5", "--budgets", "10", "--trials", "1",
+         "--methods", "exhaustive"],
+        ["scaling", "--sweep", "m", "--n", "30", "--k", "5", "--values", "10", "--repeats", "1",
+         "--method", "exhaustive"],
+    ]
+    for argv in argvs:
+        assert run_cli(argv + ["--out", str(out)]) == 3, argv[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
 
 
 def test_place_degenerate_schur_exits_3(tmp_path):
@@ -339,3 +349,21 @@ def test_scaling_validation(tmp_path):
 def test_help_and_missing_subcommand():
     assert run_cli([]) == 2
     assert run_cli(["--help"]) == 0
+
+
+def test_negative_seed_exits_2(phi3_file, tmp_path):
+    # numpy refuses negative seeds, so every subcommand refuses them as a
+    # bad flag, before any output is written
+    out = tmp_path / "x.out"
+    argvs = [
+        ["gen", "--model", "1", "--n", "20", "--k", "3"],
+        ["place", "--matrix", str(phi3_file), "--budget", "2", "--method", "random"],
+        ["place", "--matrix", str(phi3_file), "--budget", "2", "--method", "fmbs"],
+        ["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5", "--trials", "1",
+         "--methods", "fmbs,random"],
+        ["scaling", "--sweep", "m", "--n", "20", "--values", "3", "--repeats", "1",
+         "--method", "random"],
+    ]
+    for argv in argvs:
+        assert run_cli(argv + ["--seed", "-1", "--out", str(out)]) == 2, argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phi3.csv"]

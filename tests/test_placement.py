@@ -273,10 +273,16 @@ def test_cost_identity_every_step():
             chosen_cost = (float(state.chosen_r @ state.chosen_r) + 1.0) / state.chosen_h
             assert abs(gain - fresh) <= 1e-8 * abs(fresh)
             assert abs(chosen_cost - fresh) <= 1e-8 * abs(fresh)
+            # from depth K on the cost is 1/mu less the K-space gain, which
+            # the check above sees only at the scale of 1/mu; hold the gain
+            # to a fresh inverse at its own scale
+            gains = exact_gains(phi, before, mu) if len(before) >= phi.shape[1] else None
             for i in state.candidate_indices():
                 cand = state.candidate_state(int(i))
                 fresh = submatrix_objective_brute(phi, before + [int(i)], mu) - base
                 assert abs(cand.cost - fresh) <= 1e-8 * abs(fresh)
+                if gains is not None:
+                    assert abs(1.0 / mu - cand.cost - gains[i]) <= 1e-9 * gains[i]
 
 
 def test_warm_start_matches_direct_solves():
