@@ -2,7 +2,8 @@
 
 Library layers:
 
-* :mod:`fmbs.linalg` -- dense kernels (SPD solves, trace of inverse,
+* :mod:`fmbs.linalg` -- dense kernels (shifted Gram matrices, Cholesky
+  factors and their triangular inverse, SPD solves, trace of inverse,
   bordered-inverse update, least-squares apply);
 * :mod:`fmbs.placement` -- the fast warm-start greedy sampler plus
   direct-greedy, exhaustive and random baselines and both objectives;

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_matrix, as_vector, cho_solve, cholesky, pseudo_inverse_apply, trace_inverse
+from .linalg import as_matrix, as_vector, pseudo_inverse_apply, shifted_gram, spd_solve, trace_inverse
 from .placement import as_sample_set
 
 _MC_CHUNK = 32768
@@ -92,7 +92,7 @@ def expected_mse(phi, s, sigma2):
     a = phi[idx]
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least {a.shape[1]} samples, got {a.shape[0]}")
-    return sigma2 * trace_inverse(a.T @ a)
+    return sigma2 * trace_inverse(shifted_gram(a, 0.0))
 
 
 def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
@@ -113,17 +113,15 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
     a = phi[idx]
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least {a.shape[1]} samples, got {a.shape[0]}")
-    lower = cholesky(a.T @ a)
+    # the least-squares operator (A^T A)^{-1} A^T, one gemm per chunk
+    estimator = spd_solve(shifted_gram(a, 0.0), a.T)
     clean = a @ g
     scale = math.sqrt(sigma2)
     rng = np.random.default_rng(int(seed))
     sse = 0.0
-    done = 0
-    while done < trials:
+    for done in range(0, trials, _MC_CHUNK):
         count = min(_MC_CHUNK, trials - done)
         y = clean + rng.normal(0.0, scale, size=(count, idx.size))
-        g_hat = cho_solve(lower, a.T @ y.T)
-        err = g_hat - g[:, None]
+        err = estimator @ y.T - g[:, None]
         sse += float(np.einsum("ij,ij->", err, err))
-        done += count
     return sse / trials

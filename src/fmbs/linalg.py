@@ -1,36 +1,42 @@
 """Dense linear-algebra kernels used by the samplers and estimators.
 
-Everything operates on float64 numpy arrays through ``numpy.linalg`` alone,
-so a process loads a single BLAS, and every routine is a pure function of
-its inputs.  The kernels:
+Everything operates on float64 numpy arrays through ``numpy.linalg``'s
+Cholesky factorization alone, so a process loads a single BLAS, and every
+routine is a pure function of its inputs.  This is the one module that
+forms a shifted Gram matrix or consumes its factor.  The kernels:
 
+* ``shifted_gram`` -- a^T a + mu I, the shifted normal matrix of a's rows
+  (given a^T, the shifted submatrix a a^T + mu I);
 * ``cholesky`` -- the lower Cholesky factor of one symmetric
   positive-definite matrix or of a stack of them, raising
   NotPositiveDefinite when any member is not;
+* ``invert_lower`` -- the inverse X = L^{-1} of a lower-triangular factor
+  or of a stack of them, the one triangular kernel;
 * ``trace_inverse`` -- tr(A^{-1}) as the squared Frobenius norm of L^{-1}
   for A = L L^T, over the last two axes, so one call scores a whole stack
   of candidate submatrices;
+* ``spd_solve`` -- SPD solves as X^T (X b);
+* ``pseudo_inverse_apply`` -- least squares through the same factor,
+  refined against the residual;
 * ``block_inverse_update`` -- the bordered inverse after appending one
-  row/column, through its Schur complement;
-* ``cho_solve`` and ``pseudo_inverse_apply`` -- SPD solves, and least
-  squares through them, as two ``numpy.linalg.solve`` calls against the
-  Cholesky factor.
+  row/column, through its Schur complement.
 
-A full inverse of a symmetric matrix is never formed; only the inverse of
-a triangular factor, when accumulating a trace.  That inverse takes no
-LAPACK solve: it is built by forward substitution, one row at a time as
-one batched matrix product over every diagonal block of every stack
-member, with gemm for the panels below the diagonal blocks of a side
-larger than _ROW_BLOCK.  The inverse overwrites the factor row by row and
-is squared in place, so a call holds one stack-sized array (two while a
-factor whose side does not split evenly is copied into a padded one).
+No LAPACK solve or inverse is called: a factor is inverted by forward
+substitution in invert_lower, one row at a time as one batched matrix
+product over every diagonal block of every stack member, with gemm for
+the panels below the diagonal blocks of a side larger than _ROW_BLOCK.
+The inverse overwrites the factor row by row, so a call holds one
+stack-sized array (two while a factor whose side does not split evenly is
+copied into a padded one).  The full inverse of a symmetric matrix is
+formed only where a caller asks for one: block_inverse_update returns it,
+and the fast sampler's switch to K space builds X^T X.
 """
 
 import numpy as np
 
 from .errors import DegenerateSchur, DimensionError, NonFiniteInput, NotPositiveDefinite
 
-# Row-block cap of the triangular inverse in trace_inverse: a side up to
+# Row-block cap of the triangular inverse in invert_lower: a side up to
 # this is one sweep of row products, a larger one is split into equal
 # blocks.  Median of 7 rounds per call (2 vCPUs, OpenBLAS 0.3.31), caps
 # 16/20/25/32/50/64: side 100 122/114/122/123/162/163 us, side 120
@@ -89,6 +95,16 @@ def schur_threshold(q_ii):
     return 1e-12 * np.maximum(1.0, q_ii)
 
 
+def shifted_gram(a, mu):
+    """Shifted Gram matrix a^T a + mu I of the rows of a.
+
+    Given a^T, it is the shifted submatrix a a^T + mu I instead.
+    """
+    gram = a.T @ a
+    gram[np.diag_indices_from(gram)] += mu
+    return gram
+
+
 def cholesky(a):
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
@@ -102,43 +118,36 @@ def cholesky(a):
         raise NotPositiveDefinite(str(exc)) from None
 
 
-def cho_solve(lower, b):
-    """Solve (L L^T) x = b given the lower Cholesky factor L."""
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
+def invert_lower(low):
+    """Inverse X = L^{-1} of a lower-triangular factor L, or of a stack of them.
 
+    X takes no general solve: with the rows of L scaled in place to
+    S = -diag(L)^{-1} L, forward substitution gives each row
+    X[r, :r] = S[r, :r] X[:r, :r] from the rows above it, and
+    X[r, r] = 1/L[r, r]; row r of X overwrites row r of S, which no later
+    row reads.  A side up to _ROW_BLOCK is one sweep of such rows.  A
+    larger side is split into equal row blocks of at most _ROW_BLOCK, the
+    factor padded at the end with an identity block when the side does
+    not divide evenly; the diagonal blocks are swept together, and each
+    panel below them is X[lo:hi, :lo] = U (S[lo:hi, :lo] X[:lo, :lo]) by
+    gemm, where U = X[lo:hi, lo:hi] D, with D the diagonal of
+    L[lo:hi, lo:hi], is the inverse of -S[lo:hi, lo:hi].  Every step acts
+    on each matrix alone, so a member's inverse is bitwise the same
+    whatever stack it is in.
 
-def trace_inverse(a):
-    """Trace of the inverse of a symmetric positive-definite matrix.
-
-    Factors a = L L^T and returns the squared Frobenius norm of X = L^{-1},
-    which equals sum_k 1/lambda_k.  X takes no general solve: with the
-    rows of L scaled in place to S = -diag(L)^{-1} L, forward substitution
-    gives each row X[r, :r] = S[r, :r] X[:r, :r] from the rows above it,
-    and X[r, r] = 1/L[r, r]; row r of X overwrites row r of S, which no
-    later row reads.  A side up to _ROW_BLOCK is one sweep of such rows.
-    A larger side is split into equal row blocks of at most _ROW_BLOCK,
-    the factor padded at the end with an identity block when the side
-    does not divide evenly; the diagonal blocks are swept together, and
-    each panel below them is X[lo:hi, :lo] = U (S[lo:hi, :lo] X[:lo, :lo])
-    by gemm, where U = X[lo:hi, lo:hi] D, with D the diagonal of
-    L[lo:hi, lo:hi], is the inverse of -S[lo:hi, lo:hi].  A stack of
-    matrices (any leading axes, square last two axes) gives an array of
-    traces, one per matrix; a single matrix gives a float.  Every step acts
-    on each matrix alone, so a member's trace is bitwise the same whatever
-    stack it is scored in, and equal to a single-matrix call on it.
+    low must be C-contiguous, as cholesky returns it, and is consumed: X
+    overwrites it in place when the side splits evenly, and is otherwise a
+    view of the padded copy.  Use the returned X either way.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
-        raise DimensionError(f"expected a nonempty square matrix or a stack of them, got {a.shape}")
-    _check_finite(a)
-    low = cholesky(a)
-    side = a.shape[-1]
+    side = low.shape[-1]
+    if side == 0:
+        return low
     blocks = -(-side // _ROW_BLOCK)
     rows = -(-side // blocks)
     width = blocks * rows
     idx = np.arange(width)
     if width > side:
-        padded = np.zeros(a.shape[:-2] + (width, width))
+        padded = np.zeros(low.shape[:-2] + (width, width))
         padded[..., :side, :side] = low
         padded[..., idx[side:], idx[side:]] = 1.0
         low = padded
@@ -160,10 +169,38 @@ def trace_inverse(a):
         hi = lo + rows
         unit = low[..., lo:hi, lo:hi] * diag[..., None, lo:hi]
         np.matmul(unit, low[..., lo:hi, :lo] @ low[..., :lo, :lo], out=low[..., lo:hi, :lo])
+    return low[..., :side, :side]
+
+
+def spd_solve(a, b):
+    """Solve a x = b for symmetric positive-definite a, as X^T (X b) with X = L^{-1}.
+
+    b may be a vector or a matrix of right-hand sides.  Raises
+    NotPositiveDefinite if a is not positive definite.
+    """
+    x = invert_lower(cholesky(a))
+    return x.T @ (x @ b)
+
+
+def trace_inverse(a):
+    """Trace of the inverse of a symmetric positive-definite matrix.
+
+    Factors a = L L^T and returns the squared Frobenius norm of
+    X = invert_lower(L), which equals sum_k 1/lambda_k.  A stack of
+    matrices (any leading axes, square last two axes) gives an array of
+    traces, one per matrix; a single matrix gives a float.  A member's
+    trace is bitwise the same whatever stack it is scored in, and equal to
+    a single-matrix call on it.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise DimensionError(f"expected a nonempty square matrix or a stack of them, got {a.shape}")
+    _check_finite(a)
+    x = invert_lower(cholesky(a))
     # not einsum: its buffered reduction splits a matrix of more than 8192
     # entries at offsets that depend on its place in the stack
-    np.square(low, out=low)
-    traces = low[..., :side, :side].sum(axis=(-2, -1))
+    np.square(x, out=x)
+    traces = x.sum(axis=(-2, -1))
     return float(traces) if a.ndim == 2 else traces
 
 
@@ -196,11 +233,23 @@ def block_inverse_update(q_inv, p, q_ii):
 
 
 def pseudo_inverse_apply(a, y):
-    """Least-squares solution (a^T a)^{-1} a^T y for full-column-rank a."""
+    """Least-squares solution (a^T a)^{-1} a^T y for full-column-rank a.
+
+    One Cholesky factor of a^T a serves the solve and two corrections
+    against the residual y - a g.
+    """
     a = as_matrix(a)
     y = as_vector(y)
     if y.shape[0] != a.shape[0]:
         raise DimensionError(f"observation length {y.shape[0]} != row count {a.shape[0]}")
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least as many rows as columns, got {a.shape}")
-    return cho_solve(cholesky(a.T @ a), a.T @ y)
+    # a^T a squares the condition number, so a plain solve's error is about
+    # cond(a)^2 eps; each further solve against the least-squares residual
+    # y - a g cuts it by about that factor again (corrected semi-normal
+    # equations): the first pass, from g = 0, is the plain solve
+    x = invert_lower(cholesky(shifted_gram(a, 0.0)))
+    g = np.zeros(a.shape[1])
+    for _ in range(3):
+        g += x.T @ (x @ (a.T @ (y - a @ g)))
+    return g

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, TooLarge
-from .linalg import as_matrix, cho_solve, cholesky, schur_threshold, trace_inverse
+from .linalg import as_matrix, cholesky, invert_lower, schur_threshold, shifted_gram, spd_solve, trace_inverse
 
 EXHAUSTIVE_LIMIT = 1_000_000
 # Float64 entries per stack of candidate matrices in _extension_traces.
@@ -116,10 +116,7 @@ def shifted_normal_objective(phi, s, mu):
     phi = as_matrix(phi)
     mu = _check_mu(mu)
     idx = as_sample_set(s, phi.shape[0])
-    a = phi[idx]
-    normal = a.T @ a
-    normal[np.diag_indices_from(normal)] += mu
-    return trace_inverse(normal)
+    return trace_inverse(shifted_gram(phi[idx], mu))
 
 
 def submatrix_objective(phi, s, mu):
@@ -127,10 +124,7 @@ def submatrix_objective(phi, s, mu):
     phi = as_matrix(phi)
     mu = _check_mu(mu)
     idx = as_sample_set(s, phi.shape[0])
-    a = phi[idx]
-    q = a @ a.T
-    q[np.diag_indices_from(q)] += mu
-    return trace_inverse(q)
+    return trace_inverse(shifted_gram(phi[idx].T, mu))
 
 
 @dataclass(frozen=True)
@@ -271,15 +265,10 @@ class GreedyState:
         """Border p_i and a fresh solve r_i = Q_S^{-1} p_i against selected[:depth]."""
         a = self.phi[self.selected[: self.depth]]
         p = a @ self.phi[i]
-        t, k = a.shape
-        if t < k:
-            q = a @ a.T
-            q[np.diag_indices(t)] += self.mu
-            return p, cho_solve(cholesky(q), p)
+        if a.shape[0] < a.shape[1]:
+            return p, spd_solve(shifted_gram(a.T, self.mu), p)
         # push-through: (A A^T + mu I)^{-1} A = A (A^T A + mu I)^{-1}
-        normal = a.T @ a
-        normal[np.diag_indices(k)] += self.mu
-        return p, a @ cho_solve(cholesky(normal), self.phi[i])
+        return p, a @ spd_solve(shifted_gram(a, self.mu), self.phi[i])
 
     def _h_and_cost(self, a, score):
         """Schur complement and cost of a candidate from its a and its score b / a."""
@@ -361,10 +350,7 @@ class GreedyState:
 
     def _switch(self):
         """Rebuild Ninv, a and b from the selected rows at depth K; drop B and G."""
-        chosen = self.phi[self.selected]
-        normal = chosen.T @ chosen
-        normal[np.diag_indices_from(normal)] += self.mu
-        linv = np.linalg.inv(cholesky(normal))
+        linv = invert_lower(cholesky(shifted_gram(self.phi[self.selected], self.mu)))
         self._ninv = linv.T @ linv
         n, k = self.phi.shape
         step = max(1, _SWITCH_ENTRIES // k)
@@ -422,11 +408,9 @@ def _extension_traces(phi, base, candidates, mu):
     # candidate's own terms change from one to the next
     q = np.empty((batch, side, side))
     if t + 1 <= k:
-        q[:, :t, :t] = a @ a.T
-        q[:, np.arange(t), np.arange(t)] += mu
+        q[:, :t, :t] = shifted_gram(a.T, mu)
     else:
-        normal = a.T @ a
-        normal[np.diag_indices_from(normal)] += mu
+        normal = shifted_gram(a, mu)
     vals = np.empty(candidates.size)
     for lo in range(0, candidates.size, batch):
         rows = phi[candidates[lo : lo + batch]]
@@ -443,6 +427,14 @@ def _extension_traces(phi, base, candidates, mu):
             stack += normal
         vals[lo : lo + rows.shape[0]] = trace_inverse(stack)
     return vals
+
+
+def _trace_entry(val, t, k, mu):
+    """Objective at depth t + 1 from a step's _extension_traces score val.
+
+    Past depth K the score is the K x K form, which drops (t + 1 - K)/mu.
+    """
+    return float(val) + max(0, t + 1 - k) / mu
 
 
 def direct_greedy_select(phi, m, mu):
@@ -477,7 +469,7 @@ def direct_greedy_select(phi, m, mu):
         best = int(np.argmin(vals))
         selected.append(int(candidates[best]))
         candidates = np.delete(candidates, best)
-        trace.append(float(vals[best]) + max(0, t + 1 - k) / mu)
+        trace.append(_trace_entry(vals[best], t, k, mu))
         times.append(time.perf_counter_ns() - start)
     return PlacementResult(selected, trace, times, "greedy-direct")
 
@@ -494,10 +486,13 @@ def exhaustive_select(phi, m, mu):
     as in the greedy methods.  The subsets sharing their first m - 1 rows
     are scored together by _extension_traces, so past m = K a subset is
     scored in the K x K form, which drops the constant (m - K)/mu common
-    to all of them.  Guarded by EXHAUSTIVE_LIMIT.
+    to all of them.  Each prefix of the winner is scored for the objective
+    trace as greedy-direct scores a step, by _extension_traces plus that
+    constant, so no entry factors a matrix swamped by its 1/mu term.
+    Guarded by EXHAUSTIVE_LIMIT.
     """
     phi = as_matrix(phi)
-    n = phi.shape[0]
+    n, k = phi.shape
     m = _check_budget(m, n)
     mu = _check_mu(mu)
     total = math.comb(n, m)
@@ -515,7 +510,8 @@ def exhaustive_select(phi, m, mu):
             best_val = float(vals[j])
             best = prefix + (int(last[j]),)
     indices = list(best)
-    trace = [submatrix_objective(phi, indices[: t + 1], mu) for t in range(m)]
+    trace = [_trace_entry(_extension_traces(phi, indices[:t], np.array(indices[t : t + 1]), mu)[0], t, k, mu)
+             for t in range(m)]
     return PlacementResult(indices, trace, [], "exhaustive")
 
 

@@ -1,5 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
+
+import fmbs
 
 from fmbs import (
     DegenerateSchur,
@@ -11,9 +16,9 @@ from fmbs import (
     schur_threshold,
     trace_inverse,
 )
-from fmbs.linalg import _ROW_BLOCK
+from fmbs.linalg import _ROW_BLOCK, cholesky, invert_lower
 
-# sides around the row blocks of trace_inverse's triangular inverse: one
+# sides around the row blocks of invert_lower's triangular inverse: one
 # sweep (up to _ROW_BLOCK = 32, with 8, 9, 16 and 17 between), two, three
 # and four equal blocks (64, 120, 100 as 4 x 25), and sides padded with
 # an identity block (33, 65, 97)
@@ -73,6 +78,15 @@ def test_trace_inverse_blocks_match_eigenvalues(side, cond):
     assert np.all(np.abs(traces - expected) <= 1e-15 * cond * expected)
     single = trace_inverse(stack[1, 2])
     assert abs(single - expected[1, 2]) <= 1e-15 * cond * expected[1, 2]
+    # the kernel behind it inverts the factor, whose condition number is
+    # the square root of the matrix's, for a stack and for one matrix alike
+    low = cholesky(stack)
+    inv = invert_lower(cholesky(stack))
+    assert inv.shape == stack.shape
+    assert np.abs(inv @ low - np.eye(side)).max() <= 1e-14 * np.sqrt(cond)
+    one = invert_lower(cholesky(stack[1, 2]))
+    assert np.array_equal(one, inv[1, 2])
+    assert np.abs(one @ low[1, 2] - np.eye(side)).max() <= 1e-14 * np.sqrt(cond)
 
 
 def test_trace_inverse_rejects_indefinite():
@@ -193,7 +207,16 @@ def test_pseudo_inverse_roundtrip():
         a = rng.standard_normal((rows, cols))
         x = rng.standard_normal(cols)
         got = pseudo_inverse_apply(a, a @ x)
-        assert np.linalg.norm(got - x) <= 1e-9 * (1.0 + np.linalg.norm(x))
+        assert np.linalg.norm(got - x) <= 1e-14 * (1.0 + np.linalg.norm(x))
+    # one row scaled by 1e7 gives cond(a) 1e7: a plain solve of the normal
+    # equations is off by 1e-3 there, and the residual corrections bring
+    # the error back down
+    phi = fmbs.generate(fmbs.ModelSpec(fmbs.Model.GAUSSIAN, 30, 4, 1))
+    x = np.random.default_rng(3).standard_normal(4)
+    a = phi[:12].copy()
+    a[7] *= 1e7
+    got = pseudo_inverse_apply(a, a @ x)
+    assert np.linalg.norm(got - x) <= 1e-8 * np.linalg.norm(x)
 
 
 def test_pseudo_inverse_rank_deficient():
@@ -205,3 +228,29 @@ def test_pseudo_inverse_rank_deficient():
 def test_pseudo_inverse_underdetermined_rejected():
     with pytest.raises(DimensionError):
         pseudo_inverse_apply([[1.0, 2.0]], [1.0])
+
+
+def test_linalg_owns_every_factorization():
+    # one module forms shifted Gram matrices and consumes their factors:
+    # no other module of the package touches numpy.linalg, this one calls
+    # only its Cholesky factorization, and no cho_solve is left
+    package = pathlib.Path(fmbs.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        used = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            # numpy comes in as a whole module only, so numpy.linalg can
+            # be reached through attributes alone
+            if isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("numpy"), path.name
+            if isinstance(node, ast.Import):
+                assert all(a.name == "numpy" for a in node.names if a.name.startswith("numpy")), path.name
+            if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                used.add("linalg")
+            if isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "linalg":
+                used.add(node.attr)
+            names = {getattr(node, f, None) for f in ("id", "attr", "name", "asname")}
+            assert "cho_solve" not in names, path.name
+        if path.name == "linalg.py":
+            assert used == {"linalg", "cholesky", "LinAlgError"}, used
+        else:
+            assert not used, (path.name, used)

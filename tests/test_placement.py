@@ -141,6 +141,8 @@ def test_fmbs_worked_example():
 def test_fmbs_candidate_costs_worked_example():
     state = GreedyState(PHI3, 2, MU)
     assert state.selected == [0]
+    # the first winner has no rows before it
+    assert state.chosen_p.shape == state.chosen_r.shape == (0,)
     assert state.step() == 1
     # winner 1 is orthogonal to row 0: cost (0 + 1) / (1 + mu)
     assert state.chosen_p == pytest.approx([0.0], abs=0.0)
@@ -640,10 +642,17 @@ def test_exhaustive_well_conditioned_past_k(seed):
     # in K space, the optimum is no worse than the greedy pick
     phi = np.random.default_rng(seed).standard_normal((12, 2))
     mu = 1e-10
-    best = exhaustive_select(phi, 4, mu).indices
+    result = exhaustive_select(phi, 4, mu)
+    best = result.indices
     greedy = direct_greedy_select(phi, 4, mu).indices
     opt = shifted_normal_objective(phi, best, mu)
     assert opt <= shifted_normal_objective(phi, greedy, mu) * (1.0 + 1e-12)
+    # each prefix of the optimum is scored as greedy-direct scores a step,
+    # so its trace entry matches (t - K)/mu + sum 1/(sigma^2 + mu) from an SVD
+    for t in range(1, 5):
+        sigma = np.linalg.svd(phi[best[:t]], compute_uv=False)
+        ref = max(0, t - 2) / mu + float(np.sum(1.0 / (sigma**2 + mu)))
+        assert result.objective_trace[t - 1] == pytest.approx(ref, rel=1e-12)
 
 
 def test_zero_row_is_selectable():
