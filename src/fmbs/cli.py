@@ -7,9 +7,14 @@ Subcommands:
 * ``bench``    MSE-versus-budget sweeps over seeded matrix draws, emit CSV;
 * ``scaling``  wall-time sweeps with a fitted log-log slope report.
 
-Exit codes: 0 on success, 2 on flag or input validation problems, 3 when a
-selection or its evaluation fails (the message names the error, e.g.
-DegenerateSchur, NotPositiveDefinite or TooLarge).
+Exit codes: 0 on success; 2 when a flag or the input is at fault, which
+argparse reports for a malformed flag and main() for the library's input
+errors (BudgetError, DimensionError, InvalidSpec, NonFiniteInput,
+ParseError) and an unreadable or unwritable path (OSError); 3 for every
+other FmbsError, when a selection or its evaluation fails
+(DegenerateSchur, NotPositiveDefinite, TooLarge).  main() is the one place
+that turns an error into an exit code; it prints one ``error: <name>:
+<message>`` line to stderr.
 
 Timing covers selection only, never matrix generation, MSE evaluation or
 I/O.  ``bench`` runs each greedy method (fmbs, greedy-direct) once per trial
@@ -28,7 +33,7 @@ import time
 
 import numpy as np
 
-from .errors import FmbsError
+from .errors import BudgetError, DimensionError, FmbsError, InvalidSpec, NonFiniteInput, ParseError
 from .inverse import expected_mse
 from .matgen import Model, ModelSpec, generate
 from .matio import load_matrix, save_matrix
@@ -38,6 +43,8 @@ METHODS = ("fmbs", "greedy-direct", "random", "exhaustive")
 # greedy methods whose selection to budget m is the first m picks of any
 # longer run on the same matrix, so bench runs them once per trial
 _NESTED_METHODS = ("fmbs", "greedy-direct")
+# errors that blame the input, so main() exits 2; any other FmbsError exits 3
+_INPUT_ERRORS = (BudgetError, DimensionError, InvalidSpec, NonFiniteInput, ParseError, OSError)
 
 
 def _child_seed(*key):
@@ -46,16 +53,23 @@ def _child_seed(*key):
 
 
 def _parse_budgets(text):
-    """Parse 'A:B:STEP' (both ends included when aligned) or a single integer."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"budget range must be A:B:STEP, got {text!r}")
-        a, b, step = (int(p) for p in parts)
-        if step < 1 or b < a:
-            raise ValueError(f"budget range needs A <= B and STEP >= 1, got {text!r}")
-        return list(range(a, b + 1, step))
-    return [int(text)]
+    """Argparse type: 'A:B:STEP' (both ends included when aligned) or a single integer."""
+    try:
+        a, b, step = (int(p) for p in text.split(":")) if ":" in text else (int(text), int(text), 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be A:B:STEP or an integer, got {text!r}") from None
+    if step < 1 or b < a:
+        raise argparse.ArgumentTypeError(f"range needs A <= B and STEP >= 1, got {text!r}")
+    return list(range(a, b + 1, step))
+
+
+def _parse_methods(text):
+    """Argparse type: a comma-separated list of distinct METHODS."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if not methods or len(set(methods)) != len(methods) or not set(methods) <= set(METHODS):
+        raise argparse.ArgumentTypeError(
+            f"must name distinct methods from {', '.join(METHODS)}, got {text!r}")
+    return methods
 
 
 def _select(method, phi, m, mu, seed):
@@ -75,24 +89,16 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _cmd_gen(args, parser):
-    try:
-        spec = ModelSpec(Model(args.model), args.n, args.k, args.seed)
-    except FmbsError as exc:
-        parser.error(str(exc))
+def _cmd_gen(args):
+    spec = ModelSpec(Model(args.model), args.n, args.k, args.seed)
     save_matrix(args.out, generate(spec), fmt=args.format)
     print(f"wrote {args.n}x{args.k} model-{args.model} matrix to {args.out}")
     return 0
 
 
-def _cmd_place(args, parser):
-    try:
-        phi = load_matrix(args.matrix)
-    except (OSError, FmbsError) as exc:
-        parser.error(str(exc))
+def _cmd_place(args):
+    phi = load_matrix(args.matrix)
     n, k = phi.shape
-    if not 1 <= args.budget <= n:
-        parser.error(f"--budget must be in [1, {n}] for this matrix, got {args.budget}")
     start = time.perf_counter()
     result = _select(args.method, phi, args.budget, args.mu, args.seed)
     wall = time.perf_counter() - start
@@ -116,39 +122,25 @@ def _cmd_place(args, parser):
     return 0
 
 
-def _cmd_bench(args, parser):
-    try:
-        budgets = _parse_budgets(args.budgets)
-    except ValueError as exc:
-        parser.error(str(exc))
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods or len(set(methods)) != len(methods):
-        parser.error(f"--methods must name distinct methods, got {args.methods!r}")
-    for method in methods:
-        if method not in METHODS:
-            parser.error(f"unknown method {method!r}, choose from {', '.join(METHODS)}")
-    if args.k < 1 or args.n < args.k:
-        parser.error(f"need --n >= --k >= 1, got n={args.n}, k={args.k}")
-    for m in budgets:
+def _cmd_bench(args):
+    for m in args.budgets:
         if not args.k <= m <= args.n:
-            parser.error(f"every budget must satisfy k <= m <= n, got m={m}")
-    if args.trials < 1:
-        parser.error(f"--trials must be at least 1, got {args.trials}")
+            raise BudgetError(f"every budget must satisfy k <= m <= n, got m={m}")
 
     results = []
     for trial in range(args.trials):
         spec = ModelSpec(Model(args.model), args.n, args.k, _child_seed(args.seed, 0, trial))
         phi = generate(spec)
-        for method in methods:
+        for method in args.methods:
             if method in _NESTED_METHODS:
-                result = _select(method, phi, max(budgets), args.mu, None)
+                result = _select(method, phi, max(args.budgets), args.mu, None)
                 runs = [
                     (m, result.indices[:m], sum(result.step_times_ns[:m]) / 1e9)
-                    for m in budgets
+                    for m in args.budgets
                 ]
             else:
                 runs = []
-                for m in budgets:
+                for m in args.budgets:
                     sampler_seed = _child_seed(args.seed, 1, trial, METHODS.index(method), m)
                     start = time.perf_counter()
                     result = _select(method, phi, m, args.mu, sampler_seed)
@@ -186,12 +178,12 @@ def _cmd_bench(args, parser):
                 "model": args.model,
                 "n": args.n,
                 "k": args.k,
-                "budgets": budgets,
+                "budgets": args.budgets,
                 "trials": args.trials,
                 "mu": args.mu,
                 "sigma2": args.sigma2,
                 "seed": args.seed,
-                "methods": methods,
+                "methods": args.methods,
             },
             "runs": [
                 {"method": method, "m": m, "trial": trial, "mse": mse, "indices": indices}
@@ -206,23 +198,16 @@ def _cmd_bench(args, parser):
     return 0
 
 
-def _cmd_scaling(args, parser):
-    try:
-        values = _parse_budgets(args.values)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.repeats < 1:
-        parser.error(f"--repeats must be at least 1, got {args.repeats}")
-
+def _cmd_scaling(args):
     points = []
     if args.sweep == "m":
         if args.n is None:
-            parser.error("--sweep m requires --n")
-        for m in values:
+            raise InvalidSpec("--sweep m requires --n")
+        for m in args.values:
             k = args.k if args.k is not None else m
             points.append((args.n, k, m))
     else:
-        for n in values:
+        for n in args.values:
             if args.m is not None:
                 m = args.m
                 k = args.k if args.k is not None else m
@@ -232,7 +217,7 @@ def _cmd_scaling(args, parser):
             points.append((n, k, m))
     for n, k, m in points:
         if not 1 <= k <= n or not k <= m <= n:
-            parser.error(f"sweep point n={n}, k={k}, m={m} violates 1 <= k <= m <= n")
+            raise BudgetError(f"sweep point n={n}, k={k}, m={m} violates 1 <= k <= m <= n")
 
     # repeats are interleaved across points (and every point gets one untimed
     # warm-up) so transient machine load distorts ratios between points less
@@ -292,6 +277,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     mu_type = _checked(float, lambda v: 0.0 < v < np.inf, "must be positive and finite")
+    count_type = _checked(int, lambda v: v >= 1, "must be at least 1")
 
     gen = sub.add_parser("gen", help="write a seeded random measurement matrix")
     gen.add_argument("--model", type=int, required=True, choices=(1, 2),
@@ -321,9 +307,9 @@ def build_parser():
     bench.add_argument("--model", type=int, required=True, choices=(1, 2))
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--k", type=int, required=True)
-    bench.add_argument("--budgets", required=True,
+    bench.add_argument("--budgets", type=_parse_budgets, required=True,
                        help="A:B:STEP (both ends included when aligned) or a single integer")
-    bench.add_argument("--trials", type=int, default=10,
+    bench.add_argument("--trials", type=count_type, default=10,
                        help="independent matrix draws per cell (default 10)")
     bench.add_argument("--mu", type=mu_type, default=1e-4)
     bench.add_argument("--sigma2", default=1.0,
@@ -331,7 +317,7 @@ def build_parser():
                                            "must be nonnegative and finite"),
                        help="noise variance in the recorded MSE (default 1)")
     _add_common_seed(bench)
-    bench.add_argument("--methods", required=True,
+    bench.add_argument("--methods", type=_parse_methods, required=True,
                        help=f"comma-separated subset of: {', '.join(METHODS)}")
     bench.add_argument("--out", required=True, help="per-trial CSV path")
     bench.add_argument("--aggregate-out", default=None,
@@ -343,7 +329,7 @@ def build_parser():
     scaling = sub.add_parser("scaling", help="selection wall-time sweep, CSV + slope report")
     scaling.add_argument("--sweep", required=True, choices=("m", "n"),
                          help="sweep the budget at fixed n, or the field size n")
-    scaling.add_argument("--values", required=True,
+    scaling.add_argument("--values", type=_parse_budgets, required=True,
                          help="swept values as A:B:STEP or a single integer")
     scaling.add_argument("--n", type=int, default=None, help="fixed field size for --sweep m")
     scaling.add_argument("--m", type=int, default=None,
@@ -356,22 +342,21 @@ def build_parser():
     scaling.add_argument("--method", default="fmbs", choices=METHODS)
     scaling.add_argument("--mu", type=mu_type, default=1e-4)
     _add_common_seed(scaling)
-    scaling.add_argument("--repeats", type=int, default=3,
+    scaling.add_argument("--repeats", type=count_type, default=3,
                          help="timed repeats per point (default 3)")
     scaling.add_argument("--out", required=True, help="CSV path")
     scaling.set_defaults(handler=_cmd_scaling)
 
-    return parser, {"gen": gen, "place": place, "bench": bench, "scaling": scaling}
+    return parser
 
 
 def main(argv=None):
-    parser, subs = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, subs[args.command])
-    except FmbsError as exc:
+        return args.handler(args)
+    except (FmbsError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 3
 
 
 if __name__ == "__main__":

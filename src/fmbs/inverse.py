@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_matrix, as_vector, pseudo_inverse_apply, shifted_gram, spd_solve, trace_inverse
+from .linalg import as_matrix, as_vector, pseudo_inverse_apply, shifted_gram, trace_inverse
 from .placement import as_sample_set
 
 _MC_CHUNK = 32768
@@ -111,10 +111,6 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
         raise ValueError(f"trials must be at least 1, got {trials}")
     idx = as_sample_set(s, phi.shape[0])
     a = phi[idx]
-    if a.shape[0] < a.shape[1]:
-        raise DimensionError(f"need at least {a.shape[1]} samples, got {a.shape[0]}")
-    # the least-squares operator (A^T A)^{-1} A^T, one gemm per chunk
-    estimator = spd_solve(shifted_gram(a, 0.0), a.T)
     clean = a @ g
     scale = math.sqrt(sigma2)
     rng = np.random.default_rng(int(seed))
@@ -122,6 +118,7 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
     for done in range(0, trials, _MC_CHUNK):
         count = min(_MC_CHUNK, trials - done)
         y = clean + rng.normal(0.0, scale, size=(count, idx.size))
-        err = estimator @ y.T - g[:, None]
+        # the estimator ls_estimate applies, one chunk of trials as columns
+        err = pseudo_inverse_apply(a, y.T) - g[:, None]
         sse += float(np.einsum("ij,ij->", err, err))
     return sse / trials

@@ -235,11 +235,13 @@ def block_inverse_update(q_inv, p, q_ii):
 def pseudo_inverse_apply(a, y):
     """Least-squares solution (a^T a)^{-1} a^T y for full-column-rank a.
 
-    One Cholesky factor of a^T a serves the solve and two corrections
-    against the residual y - a g.
+    y is one observation vector of length t = a.shape[0], or a t x c matrix
+    whose c columns are solved together into a K x c result.  One Cholesky
+    factor of a^T a serves the solve and two corrections against the
+    residual y - a g.
     """
     a = as_matrix(a)
-    y = as_vector(y)
+    y = as_vector(y) if np.ndim(y) == 1 else as_matrix(y)
     if y.shape[0] != a.shape[0]:
         raise DimensionError(f"observation length {y.shape[0]} != row count {a.shape[0]}")
     if a.shape[0] < a.shape[1]:
@@ -249,7 +251,7 @@ def pseudo_inverse_apply(a, y):
     # y - a g cuts it by about that factor again (corrected semi-normal
     # equations): the first pass, from g = 0, is the plain solve
     x = invert_lower(cholesky(shifted_gram(a, 0.0)))
-    g = np.zeros(a.shape[1])
+    g = np.zeros(a.shape[1:] + y.shape[1:])
     for _ in range(3):
         g += x.T @ (x @ (a.T @ (y - a @ g)))
     return g

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DegenerateSchur, TooLarge
+from .errors import BudgetError, DegenerateSchur, NonFiniteInput, TooLarge
 from .linalg import as_matrix, cholesky, invert_lower, schur_threshold, shifted_gram, spd_solve, trace_inverse
 
 EXHAUSTIVE_LIMIT = 1_000_000
@@ -105,6 +105,23 @@ def _check_budget(m, n):
     if m < 1 or m > n:
         raise BudgetError(f"budget must be in [1, {n}], got {m}")
     return m
+
+
+def _prepare(phi, m, mu):
+    """Checked matrix, budget and shift, and the shifted squared row norms.
+
+    Returns (phi, m, mu, q) with phi C-contiguous and q_ii = |phi_i|^2 + mu.
+    A row whose q_ii overflows raises NonFiniteInput naming it, before any
+    method scores a candidate against it.
+    """
+    phi = np.ascontiguousarray(as_matrix(phi))
+    m = _check_budget(m, phi.shape[0])
+    mu = _check_mu(mu)
+    q_diag = np.einsum("ij,ij->i", phi, phi) + mu
+    bad = np.flatnonzero(~np.isfinite(q_diag))
+    if bad.size:
+        raise NonFiniteInput(f"row {bad[0]}: squared norm overflows")
+    return phi, m, mu, q_diag
 
 
 def shifted_normal_objective(phi, s, mu):
@@ -215,11 +232,8 @@ class GreedyState:
     """
 
     def __init__(self, phi, budget, mu):
-        self.phi = np.ascontiguousarray(as_matrix(phi))
+        self.phi, self.budget, self.mu, self.q_diag = _prepare(phi, budget, mu)
         n, k = self.phi.shape
-        self.budget = _check_budget(budget, n)
-        self.mu = _check_mu(mu)
-        self.q_diag = np.einsum("ij,ij->i", self.phi, self.phi) + self.mu
         self._floor = schur_threshold(self.q_diag)
         # every candidate starts at r = [], h = q_ii, so the first step() is
         # the general fold with an empty selected set
@@ -449,12 +463,9 @@ def direct_greedy_select(phi, m, mu):
     correctness oracle for fmbs_select.  Past depth K it cannot raise
     NotPositiveDefinite, because the K x K matrix is at least mu I.
     """
-    phi = as_matrix(phi)
-    n, k = phi.shape
-    m = _check_budget(m, n)
-    mu = _check_mu(mu)
     start = time.perf_counter_ns()
-    q_diag = np.einsum("ij,ij->i", phi, phi) + mu
+    phi, m, mu, q_diag = _prepare(phi, m, mu)
+    n, k = phi.shape
     # For singletons the objective is 1/q_ii, so the argmin is argmax q_ii.
     first = int(np.argmax(q_diag))
     selected = [first]
@@ -491,10 +502,8 @@ def exhaustive_select(phi, m, mu):
     constant, so no entry factors a matrix swamped by its 1/mu term.
     Guarded by EXHAUSTIVE_LIMIT.
     """
-    phi = as_matrix(phi)
+    phi, m, mu, _ = _prepare(phi, m, mu)
     n, k = phi.shape
-    m = _check_budget(m, n)
-    mu = _check_mu(mu)
     total = math.comb(n, m)
     if total > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"C({n},{m}) = {total} subsets exceeds the limit {EXHAUSTIVE_LIMIT}")

@@ -127,7 +127,51 @@ def test_place_bad_flags_exit_2(tmp_path):
     for bad in BAD_MU:
         assert run_cli(["place", "--matrix", str(matrix), "--budget", "2", "--method", "fmbs",
                         "--mu", bad, "--out", str(tmp_path / "x.json")]) == 2
+    # finite entries whose squared row norm overflows are bad input too
+    save_matrix(matrix, PHI3 * np.array([[1e160], [1.0], [1.0]]), fmt="csv")
+    assert run_cli(["place", "--matrix", str(matrix), "--budget", "2", "--method", "fmbs",
+                    "--out", str(tmp_path / "x.json")]) == 2
     assert not (tmp_path / "x.json").exists()
+
+
+def test_exit_code_table(monkeypatch, capsys, phi3_file, tmp_path):
+    # main() alone turns an error into an exit code: the input errors and
+    # OSError exit 2, every other FmbsError 3, each with one stderr line
+    import fmbs.cli as cli
+    import fmbs.errors as errors
+
+    expected = {
+        errors.BudgetError: 2, errors.DimensionError: 2, errors.InvalidSpec: 2,
+        errors.NonFiniteInput: 2, errors.ParseError: 2, OSError: 2, FileNotFoundError: 2,
+        errors.DegenerateSchur: 3, errors.NotPositiveDefinite: 3, errors.TooLarge: 3,
+        errors.FmbsError: 3,
+    }
+    assert set(errors.FmbsError.__subclasses__()) < set(expected)  # a new error needs a row
+    for error, code in expected.items():
+        def fail(args, error=error):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_place", fail)
+        assert run_cli(["place", "--matrix", str(phi3_file), "--budget", "1", "--method", "fmbs",
+                        "--out", str(tmp_path / "x.json")]) == code, error
+        assert capsys.readouterr().err == f"error: {error.__name__}: boom\n"
+
+
+def test_out_into_missing_directory_exits_2(phi3_file, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.out")
+    argvs = [
+        ["gen", "--model", "1", "--n", "20", "--k", "3"],
+        ["place", "--matrix", str(phi3_file), "--budget", "2", "--method", "fmbs"],
+        ["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5", "--trials", "1",
+         "--methods", "fmbs"],
+    ]
+    for argv in argvs:
+        assert run_cli(argv + ["--out", out]) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "", argv[0]
+        assert captured.err.startswith("error: FileNotFoundError: "), argv[0]
+        assert captured.err.count("\n") == 1, argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phi3.csv"]
 
 
 def test_place_solver_failure_exits_3(tmp_path):

@@ -6,11 +6,14 @@ import pytest
 from fmbs import (
     DimensionError,
     FmbsError,
+    Model,
+    ModelSpec,
     NoiseModel,
     NonFiniteInput,
     NotPositiveDefinite,
     build_sampling_matrix,
     expected_mse,
+    generate,
     ls_estimate,
     monte_carlo_mse,
     observe,
@@ -277,6 +280,15 @@ def test_monte_carlo_agreement_small_instances():
         analytic = expected_mse(phi, s, 1.0)
         empirical = monte_carlo_mse(phi, s, g, 1.0, trials=100_000, seed=200 + trial)
         assert abs(empirical - analytic) <= 0.05 * analytic
+    # one row scaled by 1e7 (cond 1e7) at small noise: the draws go through
+    # ls_estimate's corrected estimator, where a plain solve of the normal
+    # equations reads several times the analytic value
+    phi = generate(ModelSpec(Model.GAUSSIAN, 30, 4, 1))
+    phi[7] *= 1e7
+    s = list(range(12))
+    analytic = expected_mse(phi, s, 1e-6)
+    empirical = monte_carlo_mse(phi, s, rng.standard_normal(4), 1e-6, trials=100_000, seed=204)
+    assert abs(empirical - analytic) <= 0.05 * analytic
 
 
 def test_estimator_unbiased():
@@ -304,3 +316,5 @@ def test_monte_carlo_validation():
         monte_carlo_mse(PHI3, [0, 1], np.zeros(2), 1.0, trials=0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_mse(PHI3, [0, 1], np.zeros(2), -1.0, trials=10, seed=0)
+    with pytest.raises(DimensionError):
+        monte_carlo_mse(PHI3, [0], np.zeros(2), 1.0, trials=10, seed=0)

@@ -115,6 +115,24 @@ def test_nonfinite_input_rejected(entry, value):
     assert isinstance(excinfo.value, FmbsError) and isinstance(excinfo.value, ValueError)
 
 
+OVERFLOW_CALLS = {
+    "fmbs_select": lambda phi: fmbs_select(phi, 8, MU),
+    "direct_greedy_select": lambda phi: direct_greedy_select(phi, 8, MU),
+    "exhaustive_select": lambda phi: exhaustive_select(phi[:10], 5, MU),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVERFLOW_CALLS))
+def test_overflowing_row_norm_named(entry):
+    # every entry is finite but |phi_7|^2 overflows: each method names the
+    # row before it scores a candidate, with no numpy overflow warning
+    # (which the test configuration turns into an error)
+    phi = generate(ModelSpec(Model.GAUSSIAN, 30, 4, 1))
+    phi[7] *= 1e160
+    with pytest.raises(NonFiniteInput, match=r"^row 7: squared norm overflows$"):
+        OVERFLOW_CALLS[entry](phi)
+
+
 @pytest.mark.parametrize(
     "call",
     [fmbs_select, direct_greedy_select, exhaustive_select, GreedyState],
