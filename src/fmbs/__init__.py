@@ -19,6 +19,8 @@ from .errors import (
     DegenerateSchur,
     DimensionError,
     FmbsError,
+    InvalidParameter,
+    InvalidSampleSet,
     InvalidSpec,
     NonFiniteInput,
     NotPositiveDefinite,
@@ -65,6 +67,8 @@ __all__ = [
     "Estimate",
     "FmbsError",
     "GreedyState",
+    "InvalidParameter",
+    "InvalidSampleSet",
     "InvalidSpec",
     "Model",
     "ModelSpec",

@@ -9,12 +9,14 @@ Subcommands:
 
 Exit codes: 0 on success; 2 when a flag or the input is at fault, which
 argparse reports for a malformed flag and main() for the library's input
-errors (BudgetError, DimensionError, InvalidSpec, NonFiniteInput,
-ParseError) and an unreadable or unwritable path (OSError); 3 for every
-other FmbsError, when a selection or its evaluation fails
-(DegenerateSchur, NotPositiveDefinite, TooLarge).  main() is the one place
-that turns an error into an exit code; it prints one ``error: <name>:
-<message>`` line to stderr.
+errors (BudgetError, DimensionError, InvalidParameter, InvalidSampleSet,
+InvalidSpec, NonFiniteInput, ParseError) and an unreadable or unwritable
+path (OSError); 3 for every other FmbsError, when a selection or its
+evaluation fails (DegenerateSchur, NotPositiveDefinite, TooLarge).  main()
+is the one place that turns an error into an exit code; it prints one
+``error: <name>: <message>`` line to stderr.  Every output path is checked
+before any matrix is loaded or drawn, so a missing or unwritable directory
+exits 2 at once, with no output.
 
 Timing covers selection only, never matrix generation, MSE evaluation or
 I/O.  ``bench`` runs each greedy method (fmbs, greedy-direct) once per trial
@@ -26,6 +28,7 @@ with the same flags and seed, except for the timing columns/fields.
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -33,7 +36,8 @@ import time
 
 import numpy as np
 
-from .errors import BudgetError, DimensionError, FmbsError, InvalidSpec, NonFiniteInput, ParseError
+from .errors import (BudgetError, DimensionError, FmbsError, InvalidParameter, InvalidSampleSet,
+                     InvalidSpec, NonFiniteInput, ParseError)
 from .inverse import expected_mse
 from .matgen import Model, ModelSpec, generate
 from .matio import load_matrix, save_matrix
@@ -44,7 +48,8 @@ METHODS = ("fmbs", "greedy-direct", "random", "exhaustive")
 # longer run on the same matrix, so bench runs them once per trial
 _NESTED_METHODS = ("fmbs", "greedy-direct")
 # errors that blame the input, so main() exits 2; any other FmbsError exits 3
-_INPUT_ERRORS = (BudgetError, DimensionError, InvalidSpec, NonFiniteInput, ParseError, OSError)
+_INPUT_ERRORS = (BudgetError, DimensionError, InvalidParameter, InvalidSampleSet, InvalidSpec,
+                 NonFiniteInput, ParseError, OSError)
 
 
 def _child_seed(*key):
@@ -82,6 +87,20 @@ def _select(method, phi, m, mu, seed):
     return random_select(phi.shape[0], m, seed)
 
 
+def _check_writable(*paths):
+    """Raise the error open(path, "w") would give for a missing or unwritable place.
+
+    Handlers call it before any matrix is loaded or drawn, so a bad output
+    path fails at once.  It creates no file; a None path is skipped.
+    """
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -90,6 +109,7 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_gen(args):
+    _check_writable(args.out)
     spec = ModelSpec(Model(args.model), args.n, args.k, args.seed)
     save_matrix(args.out, generate(spec), fmt=args.format)
     print(f"wrote {args.n}x{args.k} model-{args.model} matrix to {args.out}")
@@ -97,6 +117,7 @@ def _cmd_gen(args):
 
 
 def _cmd_place(args):
+    _check_writable(args.out)
     phi = load_matrix(args.matrix)
     n, k = phi.shape
     start = time.perf_counter()
@@ -123,6 +144,11 @@ def _cmd_place(args):
 
 
 def _cmd_bench(args):
+    agg_path = args.aggregate_out
+    if agg_path is None:
+        base, ext = os.path.splitext(args.out)
+        agg_path = f"{base}.agg{ext or '.csv'}"
+    _check_writable(args.out, agg_path, args.details_out)
     for m in args.budgets:
         if not args.k <= m <= args.n:
             raise BudgetError(f"every budget must satisfy k <= m <= n, got m={m}")
@@ -159,10 +185,6 @@ def _cmd_bench(args):
     groups = {}
     for method, m, trial, mse, sec, _ in results:
         groups.setdefault((method, m), []).append((mse, sec))
-    agg_path = args.aggregate_out
-    if agg_path is None:
-        base, ext = os.path.splitext(args.out)
-        agg_path = f"{base}.agg{ext or '.csv'}"
     _write_csv(
         agg_path,
         ["method", "m", "mean_mse", "mean_seconds"],
@@ -199,6 +221,7 @@ def _cmd_bench(args):
 
 
 def _cmd_scaling(args):
+    _check_writable(args.out)
     points = []
     if args.sweep == "m":
         if args.n is None:

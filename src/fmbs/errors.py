@@ -35,3 +35,15 @@ class ParseError(FmbsError):
 
 class InvalidSpec(FmbsError):
     """A generator specification is invalid."""
+
+
+class InvalidParameter(FmbsError, ValueError):
+    """A scalar argument (shift, noise variance, trial count, file format) is out of range."""
+
+
+class InvalidSampleSet(FmbsError, ValueError, IndexError):
+    """A sample set is empty, not integral, out of range or repeats an index.
+
+    It is both a ValueError and an IndexError, so a handler written for
+    either builtin catches every case.
+    """

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InvalidParameter
 from .linalg import as_matrix, as_vector, pseudo_inverse_apply, shifted_gram, trace_inverse
 from .placement import as_sample_set
 
@@ -21,7 +21,7 @@ _MC_CHUNK = 32768
 def _check_sigma2(sigma2):
     sigma2 = float(sigma2)
     if not 0.0 <= sigma2 < math.inf:
-        raise ValueError(f"noise variance must be nonnegative and finite, got {sigma2}")
+        raise InvalidParameter(f"noise variance must be nonnegative and finite, got {sigma2}")
     return sigma2
 
 
@@ -108,7 +108,7 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
     sigma2 = _check_sigma2(sigma2)
     trials = int(trials)
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+        raise InvalidParameter(f"trials must be at least 1, got {trials}")
     idx = as_sample_set(s, phi.shape[0])
     a = phi[idx]
     clean = a @ g

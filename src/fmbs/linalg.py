@@ -47,12 +47,23 @@ from .errors import DegenerateSchur, DimensionError, NonFiniteInput, NotPositive
 _ROW_BLOCK = 32
 
 
+def all_finite(a):
+    """Whether every entry of the float array a is finite.
+
+    A sum is finite only if every entry is, so the entry-sized mask of
+    np.isfinite is built only when the sum is not: for a NaN or infinite
+    entry, or for finite entries whose sum overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    return bool(np.isfinite(total) or np.isfinite(a).all())
+
+
 def _check_finite(a):
     """Raise NonFiniteInput naming the first NaN or infinite entry of a."""
-    finite = np.isfinite(a)
-    if finite.all():
+    if all_finite(a):
         return
-    pos = tuple(int(v) for v in np.argwhere(~finite)[0])
+    pos = tuple(int(v) for v in np.argwhere(~np.isfinite(a))[0])
     if a.ndim == 1:
         where = f"vector entry at index {pos[0]}"
     else:

@@ -13,12 +13,14 @@ round-trip bit-identically; text files round-trip value-exactly because
 floats are written with shortest-repr precision.
 """
 
+import os
+import stat
 import struct
 
 import numpy as np
 
-from .errors import DimensionError, ParseError
-from .linalg import as_matrix
+from .errors import DimensionError, InvalidParameter, ParseError
+from .linalg import all_finite, as_matrix
 
 MAGIC = b"FMBS"
 BINARY_VERSION = 1
@@ -31,7 +33,8 @@ def save_matrix(path, a, fmt="binary"):
     if fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, BINARY_VERSION, a.shape[0], a.shape[1]))
-            fh.write(a.astype("<f8", copy=False).tobytes())
+            # the array's own buffer, not a bytes copy of it
+            fh.write(a.astype("<f8", copy=False).data)
     elif fmt == "csv":
         lines = [f"{a.shape[0]},{a.shape[1]}"]
         for row in a:
@@ -40,15 +43,16 @@ def save_matrix(path, a, fmt="binary"):
             fh.write("\n".join(lines))
             fh.write("\n")
     else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
+        raise InvalidParameter(f"unknown matrix format {fmt!r}")
 
 
 def load_matrix(path):
     """Read a matrix from either supported format, sniffing the magic bytes."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] == MAGIC:
-        return _load_binary(blob, path)
+        head = fh.read(_HEADER.size)
+        if head[:4] == MAGIC:
+            return _load_binary(fh, head, path)
+        blob = head + fh.read()
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError:
@@ -56,22 +60,31 @@ def load_matrix(path):
     return _load_text(text, path)
 
 
-def _load_binary(blob, path):
-    if len(blob) < _HEADER.size:
+def _load_binary(fh, head, path):
+    """Decode a binary file whose first _HEADER.size bytes (or fewer) are head."""
+    if len(head) < _HEADER.size:
         raise ParseError(
-            f"{path}: truncated header, expected at least {_HEADER.size} bytes, got {len(blob)}"
+            f"{path}: truncated header, expected at least {_HEADER.size} bytes, got {len(head)}"
         )
-    _, version, rows, cols = _HEADER.unpack_from(blob)
+    _, version, rows, cols = _HEADER.unpack(head)
     if version != BINARY_VERSION:
         raise ParseError(f"{path}: unsupported binary version {version}")
     if rows == 0 or cols == 0:
         raise ParseError(f"{path}: dimensions must be positive, got {rows}x{cols}")
     expected = _HEADER.size + rows * cols * 8
-    if len(blob) != expected:
-        raise ParseError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    out = data.astype(np.float64).reshape(rows, cols)
-    if not np.isfinite(out).all():
+    # a regular file's size is checked before the result is allocated; a
+    # pipe's is known only once it has been read to the end
+    info = os.fstat(fh.fileno())
+    size = info.st_size if stat.S_ISREG(info.st_mode) else None
+    if size is None or size == expected:
+        # read into the result itself: the file's bytes are never held as
+        # well, and a view of them at offset _HEADER.size would be unaligned
+        out = np.empty((rows, cols), dtype="<f8")
+        size = _HEADER.size + fh.readinto(out) + len(fh.read())
+    if size != expected:
+        raise ParseError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}")
+    out = out.astype(np.float64, copy=False)
+    if not all_finite(out):
         raise ParseError(f"{path}: matrix entries must be finite")
     return out
 
@@ -106,6 +119,6 @@ def _load_text(text, path):
             out[lineno - 2] = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not np.isfinite(out).all():
+    if not all_finite(out):
         raise ParseError(f"{path}: matrix entries must be finite")
     return out

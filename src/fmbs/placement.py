@@ -29,11 +29,13 @@ without any 1/mu cancellation, at every mu > 0.
 
 A step costs two matrix-vector products with Phi plus O(K^2 + |S| K)
 work on small matrices (three reads of B and one of G up to depth K), so
-a run at budget M costs O(N K M) and holds O(N + K^2) state; r_i and p_i
-are computed afresh, on request only.  For M well below K a step reads
-all of Phi where the paper's recursion reads only its |S| x N block; that
-regime is not one a least-squares design (M >= K) runs.  DegenerateSchur
-is possible only up to depth K: past it h_i = mu (1 + d_i) >= mu.
+a run at budget M costs O(N K M) and holds O(N + K^2) state, plus one
+256 KB block (_BLOCK_ENTRIES) of Phi Ninv while the switch to K space
+builds d and e block by block; r_i and p_i are computed afresh, on
+request only.  For M well below K a step reads all of Phi where the
+paper's recursion reads only its |S| x N block; that regime is not one a
+least-squares design (M >= K) runs.  DegenerateSchur is possible only up
+to depth K: past it h_i = mu (1 + d_i) >= mu.
 
 ``direct_greedy_select`` makes the same greedy decisions but evaluates every
 candidate by explicit factorization, at O(min(t+1, K)^3) per candidate:
@@ -41,7 +43,9 @@ the bordered (t+1) x (t+1) submatrix up to depth K, and past it the K x K
 shifted normal matrix, whose trace of inverse differs from the submatrix
 objective by the constant (t + 1 - K)/mu.  The K x K form keeps the 1/mu
 term out of the factorization, so the oracle stays well-conditioned at any
-mu > 0.  It is deliberately kept independent of the fast path.
+mu > 0.  Candidates are gathered and factored in stacks of one block,
+so the oracle's transient memory is bounded too.  It is deliberately kept
+independent of the fast path.
 ``exhaustive_select`` and ``random_select`` provide the optimal and the
 weak reference baselines.
 
@@ -58,45 +62,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DegenerateSchur, NonFiniteInput, TooLarge
+from .errors import BudgetError, DegenerateSchur, InvalidParameter, InvalidSampleSet, NonFiniteInput, TooLarge
 from .linalg import as_matrix, cholesky, invert_lower, schur_threshold, shifted_gram, spd_solve, trace_inverse
 
 EXHAUSTIVE_LIMIT = 1_000_000
-# Float64 entries per stack of candidate matrices in _extension_traces.
-# direct_greedy_select at N/K/M = 500/20/60 (three Gaussian matrices, 7
-# rounds, sizes interleaved; 2 vCPUs, OpenBLAS 0.3.31), median per call:
-# 2**12 177 ms, 2**13 121, 2**14 94, 2**15 78, 2**16 84.  The step up at
-# 2**16 is glibc's allocator, not the cache: with MALLOC_MMAP_THRESHOLD_
-# and MALLOC_TRIM_THRESHOLD_ raised in the measuring process, 2**15 took
-# 78 ms and 2**16 71 ms.  A stack and its factor (512 KB each at 2**16)
-# fall on either side of the mmap and trim thresholds, which move with
-# the process's allocation history; a kernel that also allocated the
-# inverse swung between 74 and 110 ms at 2**16.
-_STACK_ENTRIES = 1 << 15
-# Float64 entries per row block of Phi at the switch to K space: d and e
-# are built block by block, so the N x K product Phi Ninv is never held
-# whole (1 MB per block against 8 MB for all of it at 10000 x 100).
-_SWITCH_ENTRIES = 1 << 17
+# Float64 entries (256 KB) per block of every blocked loop here: a stack
+# of candidate matrices in _extension_traces, with the candidate rows it
+# gathers, and a row block of Phi Ninv at the switch to K space.  The
+# loops hold about one block at a time, so on top of the O(N + K^2) state
+# of the samplers the transient memory does not grow with Phi (Phi Ninv
+# whole is 8 MB at 10000 x 100, the rows of 10000 candidates 8 MB too).
+# A block's size does not change any result bitwise.  The size is
+# greedy-direct's fastest stack: direct_greedy_select at N/K/M =
+# 500/20/60 (three Gaussian matrices, 7 rounds, sizes interleaved; 2
+# vCPUs, OpenBLAS 0.3.31), median per call: 2**12 177 ms, 2**13 121,
+# 2**14 94, 2**15 78, 2**16 84.  The step up at 2**16 is glibc's
+# allocator, not the cache: with MALLOC_MMAP_THRESHOLD_ and
+# MALLOC_TRIM_THRESHOLD_ raised in the measuring process, 2**15 took 78
+# ms and 2**16 71 ms.  A stack and its factor (512 KB each at 2**16) fall
+# on either side of the mmap and trim thresholds, which move with the
+# process's allocation history; a kernel that also allocated the inverse
+# swung between 74 and 110 ms at 2**16.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def as_sample_set(s, n):
     """Validate a sample set: distinct indices in [0, n), selection order kept."""
     idx = np.asarray(list(s))
     if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("sample set must be a nonempty sequence of indices")
+        raise InvalidSampleSet("sample set must be a nonempty sequence of indices")
     if not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"sample indices must be integers, got dtype {idx.dtype}")
+        raise InvalidSampleSet(f"sample indices must be integers, got dtype {idx.dtype}")
     if idx.min() < 0 or idx.max() >= n:
-        raise IndexError(f"sample index out of range for {n} rows")
+        raise InvalidSampleSet(f"sample index out of range for {n} rows")
     if np.unique(idx).size != idx.size:
-        raise ValueError("sample indices must be distinct")
+        raise InvalidSampleSet("sample indices must be distinct")
     return idx.astype(np.intp, copy=False)
 
 
 def _check_mu(mu):
     mu = float(mu)
     if not 0.0 < mu < math.inf:
-        raise ValueError(f"shift mu must be positive and finite, got {mu}")
+        raise InvalidParameter(f"shift mu must be positive and finite, got {mu}")
     return mu
 
 
@@ -367,7 +374,7 @@ class GreedyState:
         linv = invert_lower(cholesky(shifted_gram(self.phi[self.selected], self.mu)))
         self._ninv = linv.T @ linv
         n, k = self.phi.shape
-        step = max(1, _SWITCH_ENTRIES // k)
+        step = max(1, _BLOCK_ENTRIES // k)
         for lo in range(0, n, step):
             rows = self.phi[lo : lo + step]
             v = rows @ self._ninv
@@ -408,16 +415,18 @@ def _extension_traces(phi, base, candidates, mu):
     that it is the trace of the inverse of the K x K matrix
     A^T A + mu I + phi_i phi_i^T, which falls short of the submatrix
     objective by exactly (t + 1 - K)/mu; the caller adds that constant.
-    The matrices are built in stacks of at most
-    _STACK_ENTRIES entries (one candidate per stack once a single matrix
-    is larger) and each stack is factored by one trace_inverse call.
-    Neither a candidate's matrix nor its trace depends on the stack it
-    falls in, so its score is bitwise the same for any stack size.
+    The matrices are built in stacks of at most _BLOCK_ENTRIES entries,
+    counting max(side^2, K) per candidate so that the gathered candidate
+    rows fit in a block as well as the stack (one candidate per stack once
+    a single matrix is larger), and each stack is factored by one
+    trace_inverse call.  Neither a candidate's matrix nor its trace
+    depends on the stack it falls in, so its score is bitwise the same
+    for any stack size.
     """
     t, k = len(base), phi.shape[1]
     a = phi[base]
     side = min(t + 1, k)
-    batch = min(candidates.size, max(1, _STACK_ENTRIES // side**2))
+    batch = min(candidates.size, max(1, _BLOCK_ENTRIES // max(side**2, k)))
     # every matrix of a stack shares the part fixed by base; only the
     # candidate's own terms change from one to the next
     q = np.empty((batch, side, side))

@@ -142,7 +142,8 @@ def test_exit_code_table(monkeypatch, capsys, phi3_file, tmp_path):
 
     expected = {
         errors.BudgetError: 2, errors.DimensionError: 2, errors.InvalidSpec: 2,
-        errors.NonFiniteInput: 2, errors.ParseError: 2, OSError: 2, FileNotFoundError: 2,
+        errors.NonFiniteInput: 2, errors.ParseError: 2, errors.InvalidParameter: 2,
+        errors.InvalidSampleSet: 2, OSError: 2, FileNotFoundError: 2, PermissionError: 2,
         errors.DegenerateSchur: 3, errors.NotPositiveDefinite: 3, errors.TooLarge: 3,
         errors.FmbsError: 3,
     }
@@ -157,16 +158,28 @@ def test_exit_code_table(monkeypatch, capsys, phi3_file, tmp_path):
         assert capsys.readouterr().err == f"error: {error.__name__}: boom\n"
 
 
-def test_out_into_missing_directory_exits_2(phi3_file, tmp_path, capsys):
+def test_out_into_missing_directory_exits_2(monkeypatch, phi3_file, tmp_path, capsys):
+    # every output path is checked before any matrix is loaded or drawn,
+    # so no selection runs and nothing is printed or written
+    import fmbs.cli as cli
+
+    def no_selection(*args):
+        raise AssertionError("selection ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "_select", no_selection)
     out = str(tmp_path / "missing" / "x.out")
+    bench = ["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5", "--trials", "1",
+             "--methods", "fmbs"]
     argvs = [
-        ["gen", "--model", "1", "--n", "20", "--k", "3"],
-        ["place", "--matrix", str(phi3_file), "--budget", "2", "--method", "fmbs"],
-        ["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5", "--trials", "1",
-         "--methods", "fmbs"],
+        ["gen", "--model", "1", "--n", "20", "--k", "3", "--out", out],
+        ["place", "--matrix", str(phi3_file), "--budget", "2", "--method", "fmbs", "--out", out],
+        bench + ["--out", out],
+        bench + ["--out", str(tmp_path / "b.csv"), "--aggregate-out", out],
+        bench + ["--out", str(tmp_path / "b.csv"), "--details-out", out],
+        ["scaling", "--sweep", "n", "--values", "20:40:10", "--repeats", "1", "--out", out],
     ]
     for argv in argvs:
-        assert run_cli(argv + ["--out", out]) == 2, argv[0]
+        assert run_cli(argv) == 2, argv[0]
         captured = capsys.readouterr()
         assert captured.out == "", argv[0]
         assert captured.err.startswith("error: FileNotFoundError: "), argv[0]

@@ -6,18 +6,23 @@ import pytest
 from fmbs import (
     DimensionError,
     FmbsError,
+    InvalidParameter,
+    InvalidSampleSet,
     Model,
     ModelSpec,
     NoiseModel,
     NonFiniteInput,
     NotPositiveDefinite,
+    as_sample_set,
     build_sampling_matrix,
     expected_mse,
+    fmbs_select,
     generate,
     ls_estimate,
     monte_carlo_mse,
     observe,
     pseudo_inverse_apply,
+    save_matrix,
     shifted_normal_objective,
 )
 
@@ -318,3 +323,21 @@ def test_monte_carlo_validation():
         monte_carlo_mse(PHI3, [0, 1], np.zeros(2), -1.0, trials=10, seed=0)
     with pytest.raises(DimensionError):
         monte_carlo_mse(PHI3, [0], np.zeros(2), 1.0, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("call, error, builtin", [
+    (lambda tmp: fmbs_select(np.eye(3), 2, 0.0), InvalidParameter, ValueError),
+    (lambda tmp: as_sample_set([5], 3), InvalidSampleSet, IndexError),
+    (lambda tmp: as_sample_set([1, 1], 3), InvalidSampleSet, ValueError),
+    (lambda tmp: expected_mse(PHI3, [0, 1], -1.0), InvalidParameter, ValueError),
+    (lambda tmp: monte_carlo_mse(PHI3, [0, 1], np.zeros(2), 1.0, trials=0, seed=0),
+     InvalidParameter, ValueError),
+    (lambda tmp: save_matrix(tmp / "m.x", np.eye(2), fmt="parquet"), InvalidParameter, ValueError),
+], ids=["mu", "index-range", "repeated-index", "sigma2", "trials", "format"])
+def test_boundary_errors_are_named(tmp_path, call, error, builtin):
+    # a bad argument raises a named FmbsError that is also the matching
+    # builtin, so a handler written for either catches it
+    with pytest.raises(error) as excinfo:
+        call(tmp_path)
+    assert isinstance(excinfo.value, FmbsError)
+    assert isinstance(excinfo.value, builtin)

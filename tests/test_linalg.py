@@ -12,11 +12,12 @@ from fmbs import (
     NonFiniteInput,
     NotPositiveDefinite,
     block_inverse_update,
+    expected_mse,
     pseudo_inverse_apply,
     schur_threshold,
     trace_inverse,
 )
-from fmbs.linalg import _ROW_BLOCK, cholesky, invert_lower
+from fmbs.linalg import _ROW_BLOCK, as_matrix, as_vector, cholesky, invert_lower
 
 # sides around the row blocks of invert_lower's triangular inverse: one
 # sweep (up to _ROW_BLOCK = 32, with 8, 9, 16 and 17 between), two, three
@@ -254,3 +255,25 @@ def test_linalg_owns_every_factorization():
             assert used == {"linalg", "cholesky", "LinAlgError"}, used
         else:
             assert not used, (path.name, used)
+
+
+def test_finite_check_holds_no_entry_mask(traced_peak):
+    # validating a matrix builds no N x K mask (one byte per entry, 1 MB
+    # here); nor does expected_mse over a few rows of it
+    phi = np.random.default_rng(31).standard_normal((10000, 100))
+    assert traced_peak(lambda: as_matrix(phi)) <= 0.01 * phi.nbytes
+    assert traced_peak(lambda: expected_mse(phi, range(120), 1.0)) <= 0.1 * phi.nbytes
+
+
+def test_finite_entries_whose_sum_overflows_pass():
+    # pytest turns warnings into errors, so an overflow warning would fail
+    assert np.array_equal(as_vector([1e308, 1e308]), [1e308, 1e308])
+    assert as_matrix([[-1e308], [-1e308]]).shape == (2, 1)
+
+
+def test_opposite_infinities_name_the_first():
+    # the sum of inf and -inf is NaN, and the mask then names entry 0
+    with pytest.raises(NonFiniteInput, match=r"^vector entry at index 0 is inf, not finite$"):
+        as_vector([np.inf, -np.inf])
+    with pytest.raises(NonFiniteInput, match=r"row 1, column 0 is -inf"):
+        as_matrix([[1.0], [-np.inf], [np.inf]])

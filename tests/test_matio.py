@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -104,3 +107,35 @@ def test_empty_file(tmp_path):
 def test_save_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         save_matrix(tmp_path / "m.x", np.eye(2), fmt="parquet")
+
+
+def test_binary_io_holds_one_copy(tmp_path, traced_peak):
+    # load reads straight into the result and save writes the array's own
+    # buffer, so neither holds a second copy of the matrix
+    a = np.random.default_rng(2).standard_normal((1000, 100))
+    path = tmp_path / "m.bin"
+    assert traced_peak(lambda: save_matrix(path, a)) <= 0.1 * a.nbytes
+    assert traced_peak(lambda: load_matrix(path)) <= 1.1 * a.nbytes
+    assert load_matrix(path).tobytes() == a.tobytes()
+
+
+def test_binary_from_pipe(tmp_path):
+    # a pipe has no size to check up front: it is read to the end, and a
+    # short one names the same byte counts as a short file
+    a = np.random.default_rng(3).standard_normal((50, 4))
+    save_matrix(tmp_path / "m.bin", a)
+    blob = (tmp_path / "m.bin").read_bytes()
+    for data in (blob, blob[:-5]):
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            if data == blob:
+                assert load_matrix(fifo).tobytes() == a.tobytes()
+            else:
+                with pytest.raises(ParseError, match=f"expected {len(blob)} bytes .* got {len(data)}$"):
+                    load_matrix(fifo)
+        finally:
+            writer.join()
+            fifo.unlink()

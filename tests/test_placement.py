@@ -231,7 +231,7 @@ def test_direct_greedy_stack_size_invisible(monkeypatch, entries):
 
     phi = np.random.default_rng(21).standard_normal((40, 5))
     baseline = direct_greedy_select(phi, 12, MU)
-    monkeypatch.setattr(placement, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(placement, "_BLOCK_ENTRIES", entries)
     stacked = direct_greedy_select(phi, 12, MU)
     assert stacked.indices == baseline.indices
     for a, b in zip(stacked.objective_trace, baseline.objective_trace):
@@ -242,7 +242,7 @@ def test_direct_greedy_stack_size_invisible(monkeypatch, entries):
 def test_direct_greedy_duplicate_rows_tie_break(monkeypatch, entries):
     import fmbs.placement as placement
 
-    monkeypatch.setattr(placement, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(placement, "_BLOCK_ENTRIES", entries)
     # rows 1 and 4 are identical and tie as the best second pick
     phi = np.array([[3.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.5], [0.0, 1.0]])
     assert direct_greedy_select(phi, 2, MU).indices == [0, 1]
@@ -420,6 +420,34 @@ def test_greedy_state_memory_is_one_block():
     assert peak < 0.25 * m * n * 8
 
 
+def test_fmbs_select_transient_memory_is_one_block(traced_peak):
+    # past depth K the switch builds d and e over row blocks of 256 KB, so
+    # the peak is the O(N + K^2) state plus one block, far below Phi
+    phi = np.random.default_rng(32).standard_normal((10000, 100))
+    assert traced_peak(lambda: fmbs_select(phi, 300, MU)) <= 0.2 * phi.nbytes
+
+
+def test_direct_greedy_transient_memory_is_one_block(traced_peak):
+    # a stack counts K entries per candidate at least, so the candidate
+    # rows it gathers (8 MB for all of them here) stay within one block
+    phi = np.random.default_rng(33).standard_normal((10000, 100))
+    assert traced_peak(lambda: direct_greedy_select(phi, 3, MU)) <= 1_000_000
+
+
+@pytest.mark.parametrize("entries", [1, 2**24])
+def test_fmbs_block_size_invisible(monkeypatch, entries):
+    # one row of Phi per block at the switch to K space and all of Phi in
+    # one block both give the default run's picks and traces bitwise
+    import fmbs.placement as placement
+
+    phi = np.random.default_rng(34).standard_normal((300, 7))
+    baseline = fmbs_select(phi, 40, MU)
+    monkeypatch.setattr(placement, "_BLOCK_ENTRIES", entries)
+    blocked = fmbs_select(phi, 40, MU)
+    assert blocked.indices == baseline.indices
+    assert blocked.objective_trace == baseline.objective_trace
+
+
 def exact_increments(phi, prefix, mu):
     """Growth of the submatrix objective when each row is appended to prefix.
 
@@ -564,7 +592,7 @@ def test_direct_greedy_tie_past_depth_k(monkeypatch, entries):
     # there; in one stack or in separate ones, the original wins
     import fmbs.placement as placement
 
-    monkeypatch.setattr(placement, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(placement, "_BLOCK_ENTRIES", entries)
     base = np.random.default_rng(28).standard_normal((16, 3))
     expected = direct_greedy_select(base, 9, MU).indices
     for s in range(3, 9):
@@ -634,7 +662,7 @@ def test_exhaustive_stack_size_invisible(monkeypatch, entries):
     phis = [np.random.default_rng(30).standard_normal((11, 3)), np.vstack([base, base])]
     cases = [(phi, m) for phi in phis for m in (2, 3, 5)]
     expected = [exhaustive_select(phi, m, MU) for phi, m in cases]
-    monkeypatch.setattr(placement, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(placement, "_BLOCK_ENTRIES", entries)
     for (phi, m), want in zip(cases, expected):
         got = exhaustive_select(phi, m, MU)
         assert got.indices == want.indices
