@@ -4,7 +4,9 @@ Library layers:
 
 * :mod:`fmbs.linalg` -- dense kernels (shifted Gram matrices, Cholesky
   factors and their triangular inverse, SPD solves, trace of inverse,
-  bordered-inverse update, least-squares apply);
+  bordered-inverse update, least-squares apply), the checked inputs
+  (matrix, vector, sample set and the rows it gathers) and the one
+  transient-memory block every blocked loop is sized by;
 * :mod:`fmbs.placement` -- the fast warm-start greedy sampler plus
   direct-greedy, exhaustive and random baselines and both objectives;
 * :mod:`fmbs.inverse` -- observation model, least-squares recovery,
@@ -12,6 +14,9 @@ Library layers:
 * :mod:`fmbs.matgen` -- seeded random measurement-matrix ensembles;
 * :mod:`fmbs.matio` -- matrix file formats;
 * :mod:`fmbs.cli` -- the ``fmbs`` command-line benchmark harness.
+
+placement, inverse and matio are siblings: each builds on linalg (and the
+shared errors) alone.
 """
 
 from .errors import (
@@ -37,6 +42,7 @@ from .inverse import (
     observe,
 )
 from .linalg import (
+    as_sample_set,
     block_inverse_update,
     pseudo_inverse_apply,
     schur_threshold,
@@ -48,7 +54,6 @@ from .placement import (
     CandidateState,
     GreedyState,
     PlacementResult,
-    as_sample_set,
     direct_greedy_select,
     exhaustive_select,
     fmbs_select,

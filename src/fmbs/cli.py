@@ -222,22 +222,15 @@ def _cmd_bench(args):
 
 def _cmd_scaling(args):
     _check_writable(args.out)
-    points = []
     if args.sweep == "m":
         if args.n is None:
             raise InvalidSpec("--sweep m requires --n")
-        for m in args.values:
-            k = args.k if args.k is not None else m
-            points.append((args.n, k, m))
+        sizes = [(args.n, m) for m in args.values]
     else:
-        for n in args.values:
-            if args.m is not None:
-                m = args.m
-                k = args.k if args.k is not None else m
-            else:
-                m = max(1, round(args.fraction * n))
-                k = m
-            points.append((n, k, m))
+        sizes = [(n, args.m if args.m is not None else max(1, round(args.fraction * n)))
+                 for n in args.values]
+    # every point takes k from --k when it is given and from its budget otherwise
+    points = [(n, m if args.k is None else args.k, m) for n, m in sizes]
     for n, k, m in points:
         if not 1 <= k <= n or not k <= m <= n:
             raise BudgetError(f"sweep point n={n}, k={k}, m={m} violates 1 <= k <= m <= n")

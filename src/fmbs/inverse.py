@@ -12,10 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidParameter
-from .linalg import as_matrix, as_vector, pseudo_inverse_apply, shifted_gram, trace_inverse
-from .placement import as_sample_set
+from .linalg import (_BLOCK_ENTRIES, as_sample_set, as_vector, pseudo_inverse_apply, sample_rows,
+                     shifted_gram, trace_inverse)
 
-_MC_CHUNK = 32768
+
+def _check_g(g, k):
+    """Checked ground-truth parameters g, one per column of Phi."""
+    g = as_vector(g)
+    if g.shape[0] != k:
+        raise DimensionError(f"parameter length {g.shape[0]} != column count {k}")
+    return g
 
 
 def _check_sigma2(sigma2):
@@ -58,14 +64,10 @@ def build_sampling_matrix(s, n):
 
 def observe(phi, g, s, noise):
     """Noisy partial observation y = (C Phi) g + n; deterministic per seed."""
-    phi = as_matrix(phi)
-    g = as_vector(g)
-    if g.shape[0] != phi.shape[1]:
-        raise DimensionError(f"parameter length {g.shape[0]} != column count {phi.shape[1]}")
-    idx = as_sample_set(s, phi.shape[0])
-    clean = phi[idx] @ g
+    _, a = sample_rows(phi, s)
+    clean = a @ _check_g(g, a.shape[1])
     rng = np.random.default_rng(noise.seed)
-    return clean + rng.normal(0.0, math.sqrt(noise.sigma2), size=idx.size)
+    return clean + rng.normal(0.0, math.sqrt(noise.sigma2), size=a.shape[0])
 
 
 def ls_estimate(phi, s, y):
@@ -74,9 +76,8 @@ def ls_estimate(phi, s, y):
     Requires the gathered rows to have full column rank; a rank-deficient
     normal matrix raises NotPositiveDefinite.
     """
-    phi = as_matrix(phi)
-    idx = as_sample_set(s, phi.shape[0])
-    g_hat = pseudo_inverse_apply(phi[idx], y)
+    phi, a = sample_rows(phi, s)
+    g_hat = pseudo_inverse_apply(a, y)
     return Estimate(g_hat=g_hat, f_hat=phi @ g_hat)
 
 
@@ -86,10 +87,8 @@ def expected_mse(phi, s, sigma2):
     Equals sigma2 times the trace of the inverse normal matrix of the
     gathered rows, i.e. sigma2 * sum_k 1/lambda_k.
     """
-    phi = as_matrix(phi)
+    _, a = sample_rows(phi, s)
     sigma2 = _check_sigma2(sigma2)
-    idx = as_sample_set(s, phi.shape[0])
-    a = phi[idx]
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least {a.shape[1]} samples, got {a.shape[0]}")
     return sigma2 * trace_inverse(shifted_gram(a, 0.0))
@@ -98,26 +97,24 @@ def expected_mse(phi, s, sigma2):
 def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
     """Empirical mean of |g_hat - g|^2 over independent noise draws.
 
-    Draws are taken from one seeded stream in trial order (chunked for
-    memory), so the value is reproducible for a given (seed, trials).
+    Draws are taken from one seeded stream in trial order, in chunks of
+    one block (_BLOCK_ENTRIES draws, |S| per trial), so the value is
+    reproducible for a given (seed, trials).
     """
-    phi = as_matrix(phi)
-    g = as_vector(g)
-    if g.shape[0] != phi.shape[1]:
-        raise DimensionError(f"parameter length {g.shape[0]} != column count {phi.shape[1]}")
+    _, a = sample_rows(phi, s)
+    g = _check_g(g, a.shape[1])
     sigma2 = _check_sigma2(sigma2)
     trials = int(trials)
     if trials < 1:
         raise InvalidParameter(f"trials must be at least 1, got {trials}")
-    idx = as_sample_set(s, phi.shape[0])
-    a = phi[idx]
     clean = a @ g
     scale = math.sqrt(sigma2)
     rng = np.random.default_rng(int(seed))
+    chunk = max(1, _BLOCK_ENTRIES // a.shape[0])
     sse = 0.0
-    for done in range(0, trials, _MC_CHUNK):
-        count = min(_MC_CHUNK, trials - done)
-        y = clean + rng.normal(0.0, scale, size=(count, idx.size))
+    for done in range(0, trials, chunk):
+        count = min(chunk, trials - done)
+        y = clean + rng.normal(0.0, scale, size=(count, a.shape[0]))
         # the estimator ls_estimate applies, one chunk of trials as columns
         err = pseudo_inverse_apply(a, y.T) - g[:, None]
         sse += float(np.einsum("ij,ij->", err, err))

@@ -3,7 +3,14 @@
 Everything operates on float64 numpy arrays through ``numpy.linalg``'s
 Cholesky factorization alone, so a process loads a single BLAS, and every
 routine is a pure function of its inputs.  This is the one module that
-forms a shifted Gram matrix or consumes its factor.  The kernels:
+forms a shifted Gram matrix or consumes its factor.
+
+It also holds the two decisions the sampler and the estimators share.
+Checked inputs: ``as_matrix``, ``as_vector`` and ``as_sample_set`` turn a
+matrix, a vector and a sample set into arrays or raise a named error, and
+``sample_rows`` checks a matrix and a sample set against it and gathers
+the selected rows.  Transient memory: ``_BLOCK_ENTRIES`` is the one block
+that sizes every blocked loop of the package.  The kernels:
 
 * ``shifted_gram`` -- a^T a + mu I, the shifted normal matrix of a's rows
   (given a^T, the shifted submatrix a a^T + mu I);
@@ -34,7 +41,29 @@ and the fast sampler's switch to K space builds X^T X.
 
 import numpy as np
 
-from .errors import DegenerateSchur, DimensionError, NonFiniteInput, NotPositiveDefinite
+from .errors import DegenerateSchur, DimensionError, InvalidSampleSet, NonFiniteInput, NotPositiveDefinite
+
+# Float64 entries (256 KB) per block of every blocked loop of the package:
+# a row block of Phi Ninv at the fast sampler's switch to K space, a stack
+# of candidate matrices in greedy-direct's _extension_traces, with the
+# candidate rows it gathers, and a chunk of noise draws in
+# monte_carlo_mse, counted at |S| entries per trial.  Each loop holds
+# about one block at a time, so on top of the O(N + K^2) state of the
+# samplers the transient memory does not grow with Phi or with the trial
+# count (Phi Ninv whole is 8 MB at 10000 x 100, the rows of 10000
+# candidates 8 MB too, 10^5 trials at |S| = 20 16 MB).  A block's size
+# does not change any sampler result bitwise, nor a Monte-Carlo draw.
+# The size is greedy-direct's fastest stack: direct_greedy_select at
+# N/K/M = 500/20/60 (three Gaussian matrices, 7 rounds, sizes
+# interleaved; 2 vCPUs, OpenBLAS 0.3.31), median per call: 2**12 177 ms,
+# 2**13 121, 2**14 94, 2**15 78, 2**16 84.  The step up at 2**16 is
+# glibc's allocator, not the cache: with MALLOC_MMAP_THRESHOLD_ and
+# MALLOC_TRIM_THRESHOLD_ raised in the measuring process, 2**15 took 78
+# ms and 2**16 71 ms.  A stack and its factor (512 KB each at 2**16) fall
+# on either side of the mmap and trim thresholds, which move with the
+# process's allocation history; a kernel that also allocated the inverse
+# swung between 74 and 110 ms at 2**16.
+_BLOCK_ENTRIES = 1 << 15
 
 # Row-block cap of the triangular inverse in invert_lower: a side up to
 # this is one sweep of row products, a larger one is split into equal
@@ -99,6 +128,30 @@ def as_vector(x):
         raise DimensionError(f"expected a 1-d vector, got ndim={x.ndim}")
     _check_finite(x)
     return x
+
+
+def as_sample_set(s, n):
+    """Validate a sample set: distinct indices in [0, n), selection order kept."""
+    idx = np.asarray(list(s))
+    if idx.ndim != 1 or idx.size == 0:
+        raise InvalidSampleSet("sample set must be a nonempty sequence of indices")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise InvalidSampleSet(f"sample indices must be integers, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= n:
+        raise InvalidSampleSet(f"sample index out of range for {n} rows")
+    if np.unique(idx).size != idx.size:
+        raise InvalidSampleSet("sample indices must be distinct")
+    return idx.astype(np.intp, copy=False)
+
+
+def sample_rows(phi, s):
+    """Checked matrix phi and its rows indexed by the sample set s, in s's order.
+
+    Returns (phi, rows), raising as as_matrix does for phi and as
+    as_sample_set does for s against phi's row count.
+    """
+    phi = as_matrix(phi)
+    return phi, phi[as_sample_set(s, phi.shape[0])]
 
 
 def schur_threshold(q_ii):

@@ -30,7 +30,7 @@ without any 1/mu cancellation, at every mu > 0.
 A step costs two matrix-vector products with Phi plus O(K^2 + |S| K)
 work on small matrices (three reads of B and one of G up to depth K), so
 a run at budget M costs O(N K M) and holds O(N + K^2) state, plus one
-256 KB block (_BLOCK_ENTRIES) of Phi Ninv while the switch to K space
+256 KB block (linalg._BLOCK_ENTRIES) of Phi Ninv while the switch to K space
 builds d and e block by block; r_i and p_i are computed afresh, on
 request only.  For M well below K a step reads all of Phi where the
 paper's recursion reads only its |S| x N block; that regime is not one a
@@ -63,41 +63,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, InvalidParameter, InvalidSampleSet, NonFiniteInput, TooLarge
-from .linalg import as_matrix, cholesky, invert_lower, schur_threshold, shifted_gram, spd_solve, trace_inverse
+from .linalg import (_BLOCK_ENTRIES, as_matrix, cholesky, invert_lower, sample_rows, schur_threshold,
+                     shifted_gram, spd_solve, trace_inverse)
+from .linalg import as_sample_set  # noqa: F401 -- still importable from here
 
 EXHAUSTIVE_LIMIT = 1_000_000
-# Float64 entries (256 KB) per block of every blocked loop here: a stack
-# of candidate matrices in _extension_traces, with the candidate rows it
-# gathers, and a row block of Phi Ninv at the switch to K space.  The
-# loops hold about one block at a time, so on top of the O(N + K^2) state
-# of the samplers the transient memory does not grow with Phi (Phi Ninv
-# whole is 8 MB at 10000 x 100, the rows of 10000 candidates 8 MB too).
-# A block's size does not change any result bitwise.  The size is
-# greedy-direct's fastest stack: direct_greedy_select at N/K/M =
-# 500/20/60 (three Gaussian matrices, 7 rounds, sizes interleaved; 2
-# vCPUs, OpenBLAS 0.3.31), median per call: 2**12 177 ms, 2**13 121,
-# 2**14 94, 2**15 78, 2**16 84.  The step up at 2**16 is glibc's
-# allocator, not the cache: with MALLOC_MMAP_THRESHOLD_ and
-# MALLOC_TRIM_THRESHOLD_ raised in the measuring process, 2**15 took 78
-# ms and 2**16 71 ms.  A stack and its factor (512 KB each at 2**16) fall
-# on either side of the mmap and trim thresholds, which move with the
-# process's allocation history; a kernel that also allocated the inverse
-# swung between 74 and 110 ms at 2**16.
-_BLOCK_ENTRIES = 1 << 15
-
-
-def as_sample_set(s, n):
-    """Validate a sample set: distinct indices in [0, n), selection order kept."""
-    idx = np.asarray(list(s))
-    if idx.ndim != 1 or idx.size == 0:
-        raise InvalidSampleSet("sample set must be a nonempty sequence of indices")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise InvalidSampleSet(f"sample indices must be integers, got dtype {idx.dtype}")
-    if idx.min() < 0 or idx.max() >= n:
-        raise InvalidSampleSet(f"sample index out of range for {n} rows")
-    if np.unique(idx).size != idx.size:
-        raise InvalidSampleSet("sample indices must be distinct")
-    return idx.astype(np.intp, copy=False)
 
 
 def _check_mu(mu):
@@ -137,18 +107,14 @@ def shifted_normal_objective(phi, s, mu):
     Equals sum_k 1/(lambda_k + mu) over the eigenvalues lambda_k of the
     K x K gram matrix of the rows of phi indexed by s.
     """
-    phi = as_matrix(phi)
-    mu = _check_mu(mu)
-    idx = as_sample_set(s, phi.shape[0])
-    return trace_inverse(shifted_gram(phi[idx], mu))
+    _, a = sample_rows(phi, s)
+    return trace_inverse(shifted_gram(a, _check_mu(mu)))
 
 
 def submatrix_objective(phi, s, mu):
     """Trace of the inverse principal submatrix of Phi Phi^T + mu I indexed by s."""
-    phi = as_matrix(phi)
-    mu = _check_mu(mu)
-    idx = as_sample_set(s, phi.shape[0])
-    return trace_inverse(shifted_gram(phi[idx].T, mu))
+    _, a = sample_rows(phi, s)
+    return trace_inverse(shifted_gram(a.T, _check_mu(mu)))
 
 
 @dataclass(frozen=True)
@@ -301,9 +267,9 @@ class GreedyState:
         """Committed warm-start data for candidate i at the current depth."""
         i = int(i)
         if not (0 <= i < self.phi.shape[0]) or self._taken[i]:
-            raise IndexError(f"{i} is not an unselected candidate")
+            raise InvalidSampleSet(f"{i} is not an unselected candidate")
         if self.depth == 0:
-            raise ValueError("no committed candidate data before the first step")
+            raise InvalidSampleSet("no committed candidate data before the first step")
         p, r = self._border_solve(i)
         a = float(self._a[i])
         h, cost = self._h_and_cost(a, float(self._b[i]) / a)
@@ -375,9 +341,12 @@ class GreedyState:
         self._ninv = linv.T @ linv
         n, k = self.phi.shape
         step = max(1, _BLOCK_ENTRIES // k)
+        # one block, written in place, so the next block's product does not
+        # allocate while the last one is still held
+        block = np.empty((min(step, n), k))
         for lo in range(0, n, step):
             rows = self.phi[lo : lo + step]
-            v = rows @ self._ninv
+            v = np.matmul(rows, self._ninv, out=block[: rows.shape[0]])
             np.einsum("ij,ij->i", v, rows, out=self._a[lo : lo + step])
             np.einsum("ij,ij->i", v, v, out=self._b[lo : lo + step])
         self._a += 1.0
@@ -434,9 +403,13 @@ def _extension_traces(phi, base, candidates, mu):
         q[:, :t, :t] = shifted_gram(a.T, mu)
     else:
         normal = shifted_gram(a, mu)
+    gathered = np.empty((batch, k))
     vals = np.empty(candidates.size)
     for lo in range(0, candidates.size, batch):
-        rows = phi[candidates[lo : lo + batch]]
+        # gathered in place; mode="clip" (the indices are in range) because
+        # the default mode="raise" copies through a second buffer
+        chunk = candidates[lo : lo + batch]
+        rows = np.take(phi, chunk, axis=0, out=gathered[: chunk.size], mode="clip")
         stack = q[: rows.shape[0]]
         if t + 1 <= k:
             # one vector-matrix product per candidate, so a candidate's

@@ -389,6 +389,16 @@ def test_scaling_n_sweep_cubic_bound(tmp_path):
     assert best[4000] / best[2000] <= 12.0
 
 
+def test_scaling_n_sweep_honours_k(tmp_path):
+    # --k sets every point's k, also when the budget is a fraction of n
+    out = tmp_path / "scale_k.csv"
+    code = run_cli(["scaling", "--sweep", "n", "--values", "40:80:40", "--k", "3",
+                    "--repeats", "1", "--out", str(out)])
+    assert code == 0
+    ks = {line.split(",")[2] for line in out.read_text().strip().splitlines()[1:]}
+    assert ks == {"3"}
+
+
 def test_scaling_validation(tmp_path):
     out = str(tmp_path / "x.csv")
     assert run_cli(["scaling", "--sweep", "m", "--values", "2:4:2", "--out", out]) == 2  # no --n

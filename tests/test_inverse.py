@@ -6,6 +6,7 @@ import pytest
 from fmbs import (
     DimensionError,
     FmbsError,
+    GreedyState,
     InvalidParameter,
     InvalidSampleSet,
     Model,
@@ -257,9 +258,18 @@ def test_monte_carlo_chunking_invisible(monkeypatch):
 
     g = np.array([0.5, 2.0])
     baseline = monte_carlo_mse(PHI3, [0, 1, 2], g, 1.0, trials=1000, seed=13)
-    monkeypatch.setattr(inverse, "_MC_CHUNK", 128)
+    # 384 entries is a chunk of 128 trials at |S| = 3
+    monkeypatch.setattr(inverse, "_BLOCK_ENTRIES", 384)
     chunked = monte_carlo_mse(PHI3, [0, 1, 2], g, 1.0, trials=1000, seed=13)
     assert chunked == pytest.approx(baseline, rel=1e-12)
+
+
+def test_monte_carlo_transient_memory_is_one_block(traced_peak):
+    # noise is drawn in chunks of one 256 KB block, so 10^5 trials at
+    # |S| = 20 (16 MB of draws) hold a few blocks at most
+    phi = np.random.default_rng(35).standard_normal((20, 4))
+    peak = traced_peak(lambda: monte_carlo_mse(phi, range(20), np.ones(4), 1.0, trials=100_000, seed=5))
+    assert peak <= 2_000_000
 
 
 def test_monte_carlo_independent_of_ground_truth():
@@ -333,7 +343,10 @@ def test_monte_carlo_validation():
     (lambda tmp: monte_carlo_mse(PHI3, [0, 1], np.zeros(2), 1.0, trials=0, seed=0),
      InvalidParameter, ValueError),
     (lambda tmp: save_matrix(tmp / "m.x", np.eye(2), fmt="parquet"), InvalidParameter, ValueError),
-], ids=["mu", "index-range", "repeated-index", "sigma2", "trials", "format"])
+    (lambda tmp: GreedyState(PHI3, 3, 1e-4).candidate_state(0), InvalidSampleSet, IndexError),
+    (lambda tmp: GreedyState(PHI3, 3, 1e-4).candidate_state(1), InvalidSampleSet, ValueError),
+], ids=["mu", "index-range", "repeated-index", "sigma2", "trials", "format", "selected-candidate",
+        "candidate-before-first-step"])
 def test_boundary_errors_are_named(tmp_path, call, error, builtin):
     # a bad argument raises a named FmbsError that is also the matching
     # builtin, so a handler written for either catches it

@@ -257,6 +257,17 @@ def test_linalg_owns_every_factorization():
             assert not used, (path.name, used)
 
 
+def test_sampler_and_estimators_build_on_linalg_alone():
+    # placement, inverse and matio are siblings over linalg: each takes
+    # from the package only errors and linalg, so checked inputs, row
+    # gathers and the transient block are decided in one place
+    package = pathlib.Path(fmbs.__file__).parent
+    for name in ("placement", "inverse", "matio"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+        assert imported <= {"errors", "linalg"}, (name, imported)
+
+
 def test_finite_check_holds_no_entry_mask(traced_peak):
     # validating a matrix builds no N x K mask (one byte per entry, 1 MB
     # here); nor does expected_mse over a few rows of it

@@ -434,6 +434,22 @@ def test_direct_greedy_transient_memory_is_one_block(traced_peak):
     assert traced_peak(lambda: direct_greedy_select(phi, 3, MU)) <= 1_000_000
 
 
+def test_blocked_loops_hold_one_block_at_a_time(traced_peak):
+    # each loop writes its block in place, so it never holds the next
+    # block while the last one is still bound: the step that switches to
+    # K space stays within two 256 KB blocks, and greedy-direct, whose
+    # stacks sit beside the rows they gather, within three
+    phi = np.random.default_rng(33).standard_normal((10000, 100))
+    states = []
+    for _ in range(2):
+        state = GreedyState(phi, 101, MU)
+        while len(state.selected) < phi.shape[1]:
+            state.step()
+        states.append(state)
+    assert traced_peak(lambda: states.pop().step()) <= 500_000
+    assert traced_peak(lambda: direct_greedy_select(phi, 3, MU)) <= 750_000
+
+
 @pytest.mark.parametrize("entries", [1, 2**24])
 def test_fmbs_block_size_invisible(monkeypatch, entries):
     # one row of Phi per block at the switch to K space and all of Phi in
