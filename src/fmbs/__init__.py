@@ -5,8 +5,8 @@ Library layers:
 * :mod:`fmbs.linalg` -- dense kernels (shifted Gram matrices, Cholesky
   factors and their triangular inverse, SPD solves, trace of inverse,
   bordered-inverse update, least-squares apply), the checked inputs
-  (matrix, vector, sample set and the rows it gathers) and the one
-  transient-memory block every blocked loop is sized by;
+  (matrix, vector, sample set and the rows it gathers, random seed) and
+  the one transient-memory block every blocked loop is sized by;
 * :mod:`fmbs.placement` -- the fast warm-start greedy sampler plus
   direct-greedy, exhaustive and random baselines and both objectives;
 * :mod:`fmbs.inverse` -- observation model, least-squares recovery,
@@ -35,7 +35,6 @@ from .errors import (
 from .inverse import (
     Estimate,
     NoiseModel,
-    build_sampling_matrix,
     expected_mse,
     ls_estimate,
     monte_carlo_mse,
@@ -85,7 +84,6 @@ __all__ = [
     "TooLarge",
     "as_sample_set",
     "block_inverse_update",
-    "build_sampling_matrix",
     "direct_greedy_select",
     "exhaustive_select",
     "expected_mse",

@@ -1,9 +1,9 @@
 """Observation and recovery pipeline for the linear field model f = Phi g.
 
-Covers sampling-matrix construction, noisy partial observation, unbiased
-least-squares recovery, the analytic expected mean-square error of that
-estimator, and its Monte-Carlo validation.  The sampling matrix is only
-materialized on request; every computational path gathers rows instead.
+Covers noisy partial observation, unbiased least-squares recovery, the
+analytic expected mean-square error of that estimator, and its Monte-Carlo
+validation.  The sampling matrix C of y = C Phi g + n is never formed:
+every path gathers the selected rows of Phi instead.
 """
 
 import math
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidParameter
-from .linalg import (_BLOCK_ENTRIES, as_sample_set, as_vector, pseudo_inverse_apply, sample_rows,
-                     shifted_gram, trace_inverse)
+from .linalg import (_BLOCK_ENTRIES, as_seed, as_vector, pseudo_inverse_apply, sample_rows, shifted_gram,
+                     trace_inverse)
 
 
 def _check_g(g, k):
@@ -40,6 +40,7 @@ class NoiseModel:
 
     def __post_init__(self):
         _check_sigma2(self.sigma2)
+        object.__setattr__(self, "seed", as_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -50,24 +51,11 @@ class Estimate:
     f_hat: np.ndarray
 
 
-def build_sampling_matrix(s, n):
-    """Binary |S| x n row-selection matrix with row i picking column s[i].
-
-    Intended for tests and direct formula checks; computational paths gather
-    rows of Phi directly.
-    """
-    idx = as_sample_set(s, int(n))
-    c = np.zeros((idx.size, int(n)))
-    c[np.arange(idx.size), idx] = 1.0
-    return c
-
-
 def observe(phi, g, s, noise):
     """Noisy partial observation y = (C Phi) g + n; deterministic per seed."""
     _, a = sample_rows(phi, s)
     clean = a @ _check_g(g, a.shape[1])
-    rng = np.random.default_rng(noise.seed)
-    return clean + rng.normal(0.0, math.sqrt(noise.sigma2), size=a.shape[0])
+    return clean + np.random.default_rng(noise.seed).normal(0.0, math.sqrt(noise.sigma2), size=a.shape[0])
 
 
 def ls_estimate(phi, s, y):
@@ -109,7 +97,7 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
         raise InvalidParameter(f"trials must be at least 1, got {trials}")
     clean = a @ g
     scale = math.sqrt(sigma2)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(as_seed(seed))
     chunk = max(1, _BLOCK_ENTRIES // a.shape[0])
     sse = 0.0
     for done in range(0, trials, chunk):

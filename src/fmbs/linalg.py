@@ -6,8 +6,9 @@ routine is a pure function of its inputs.  This is the one module that
 forms a shifted Gram matrix or consumes its factor.
 
 It also holds the two decisions the sampler and the estimators share.
-Checked inputs: ``as_matrix``, ``as_vector`` and ``as_sample_set`` turn a
-matrix, a vector and a sample set into arrays or raise a named error, and
+Checked inputs: ``as_matrix``, ``as_vector``, ``as_sample_set`` and
+``as_seed`` turn a matrix, a vector, a sample set and a random seed into
+arrays (a nonnegative int for the seed) or raise a named error, and
 ``sample_rows`` checks a matrix and a sample set against it and gathers
 the selected rows.  Transient memory: ``_BLOCK_ENTRIES`` is the one block
 that sizes every blocked loop of the package.  The kernels:
@@ -41,7 +42,8 @@ and the fast sampler's switch to K space builds X^T X.
 
 import numpy as np
 
-from .errors import DegenerateSchur, DimensionError, InvalidSampleSet, NonFiniteInput, NotPositiveDefinite
+from .errors import (DegenerateSchur, DimensionError, InvalidParameter, InvalidSampleSet, NonFiniteInput,
+                     NotPositiveDefinite)
 
 # Float64 entries (256 KB) per block of every blocked loop of the package:
 # a row block of Phi Ninv at the fast sampler's switch to K space, a stack
@@ -142,6 +144,13 @@ def as_sample_set(s, n):
     if np.unique(idx).size != idx.size:
         raise InvalidSampleSet("sample indices must be distinct")
     return idx.astype(np.intp, copy=False)
+
+
+def as_seed(seed):
+    """Coerce to a nonnegative int random seed, or raise InvalidParameter."""
+    if int(seed) < 0:
+        raise InvalidParameter(f"seed must be nonnegative, got {seed}")
+    return int(seed)
 
 
 def sample_rows(phi, s):
@@ -290,8 +299,7 @@ def block_inverse_update(q_inv, p, q_ii):
         raise DegenerateSchur(f"schur complement {h:.6e} at or below floor for q_ii={q_ii:.6e}")
     out = np.empty((t + 1, t + 1))
     out[:t, :t] = q_inv + np.outer(u, u) / h
-    out[:t, t] = -u / h
-    out[t, :t] = -u / h
+    out[:t, t] = out[t, :t] = -u / h
     out[t, t] = 1.0 / h
     return out
 

@@ -6,6 +6,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import InvalidSpec
+from .linalg import as_seed
 
 
 class Model(IntEnum):
@@ -31,6 +32,7 @@ class ModelSpec:
             raise InvalidSpec(f"unknown model id {self.model!r}") from None
         if self.k < 1 or self.n < self.k:
             raise InvalidSpec(f"need n >= k >= 1, got n={self.n}, k={self.k}")
+        object.__setattr__(self, "seed", as_seed(self.seed))
 
 
 def generate(spec):

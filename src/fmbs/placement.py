@@ -6,7 +6,7 @@ tr(Q_S^{-1}), Q = Phi Phi^T + mu I, the least.  The paper scores row i by
 (|r_i|^2 + 1) / h_i, with r_i = Q_S^{-1} p_i the solve of its border vector
 p_i and h_i = q_ii - p_i . r_i its Schur complement.  ``GreedyState``
 never stores r_i or p_i.  It carries two N-vectors a and b, scores
-candidate i by b_i / a_i and picks the first minimum.  Each step folds
+candidate i by b_i / a_i and picks the least score.  Each step folds
 the last winner in by one rank-one update, made with two matrix-vector
 products with Phi,
 
@@ -34,8 +34,12 @@ a run at budget M costs O(N K M) and holds O(N + K^2) state, plus one
 builds d and e block by block; r_i and p_i are computed afresh, on
 request only.  For M well below K a step reads all of Phi where the
 paper's recursion reads only its |S| x N block; that regime is not one a
-least-squares design (M >= K) runs.  DegenerateSchur is possible only up
-to depth K: past it h_i = mu (1 + d_i) >= mu.
+least-squares design (M >= K) runs.  Every Schur complement is at least
+mu, so a carried h_i that is not positive is rounding noise: it scores
+just below +inf and can win only when every candidate is like it.
+DegenerateSchur is raised only when the winner's h is at or below
+schur_threshold(q_ii), and only up to depth K: past it h_i = mu (1 + d_i)
+>= mu.
 
 ``direct_greedy_select`` makes the same greedy decisions but evaluates every
 candidate by explicit factorization, at O(min(t+1, K)^3) per candidate:
@@ -49,10 +53,12 @@ independent of the fast path.
 ``exhaustive_select`` and ``random_select`` provide the optimal and the
 weak reference baselines.
 
-Both greedy methods take the first best score, so ties go to the smallest
-index only when the scores are bitwise equal.  Distinct rows whose scores
-are equal in exact arithmetic, common on {0, 1} (model 2) matrices, are
-ordered by rounding, and the two methods may order them differently.
+Every method picks through one tie rule, ``_pick``: the smallest index
+whose score is within _TIE (16 eps) times the objective after the step of
+the best score.  Rows whose scores are equal in exact arithmetic, common
+on {0, 1} (model 2) matrices, differ by rounding far less than that, so
+both greedy methods give such a tie to the smallest index and return the
+same sequence.
 """
 
 import itertools
@@ -63,11 +69,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, InvalidParameter, InvalidSampleSet, NonFiniteInput, TooLarge
-from .linalg import (_BLOCK_ENTRIES, as_matrix, cholesky, invert_lower, sample_rows, schur_threshold,
-                     shifted_gram, spd_solve, trace_inverse)
-from .linalg import as_sample_set  # noqa: F401 -- still importable from here
+from .linalg import (_BLOCK_ENTRIES, as_matrix, as_seed, cholesky, invert_lower, sample_rows,
+                     schur_threshold, shifted_gram, spd_solve, trace_inverse)
 
 EXHAUSTIVE_LIMIT = 1_000_000
+
+# Relative width of a tie: scores within _TIE times the objective after
+# the step of the best are one decision, which goes to the smallest index.
+# On Bernoulli 200/20/40 and 300/10/30 (seeds 1-30, mu = 1e-4), first-
+# minimum picks made fmbs and greedy-direct part at 13 steps whose two
+# picks tie in exact arithmetic; there greedy-direct's scores of the two
+# differed by at most 0.76 eps of the objective (one ulp; median 0).  With
+# this rule on those runs, every pick it moved off the first minimum (17
+# in fmbs, 3 in greedy-direct) was within 0.76 eps too, so 16 eps is 20
+# times the widest rounding gap seen.
+_TIE = 16 * float(np.finfo(np.float64).eps)
+
+# Score of a candidate whose carried Schur complement is not positive:
+# above every real score, below the selected rows' +inf.
+_MASKED = np.finfo(np.float64).max
+
+
+def _pick(score, offset=0.0):
+    """Smallest index whose score is within _TIE |offset + best| of the best.
+
+    offset + best is the objective after the step, so the tie width scales
+    with the objective, not with the score.  The bound is taken in Python
+    floats, which overflow without a warning, and capped at the largest
+    float, so a score of +inf (a selected row) is never within it.
+    """
+    best = float(score[np.argmin(score)])
+    return int(np.argmax(score <= min(best + _TIE * abs(offset + best), _MASKED)))
 
 
 def _check_mu(mu):
@@ -178,14 +210,14 @@ class GreedyState:
     which is the paper's r_i <- [r_i - gamma_i r_j ; gamma_i] with
     gamma_i = (Phi u1)_i / sqrt(h_j), without storing any r_i.  B gains
     the row u1 and G the row and column -z / sqrt(h_j) with corner kappa.
-    A Schur complement at or below schur_threshold(q_ii) raises
-    DegenerateSchur.
+    A winner whose Schur complement is at or below schur_threshold(q_ii)
+    raises DegenerateSchur naming it.
 
     At depth K the state is rebuilt once from the selected rows, in row
     blocks of Phi: Ninv = (A^T A + mu I)^{-1} (K x K), a = 1 + d with
     d_i = phi_i . Ninv phi_i, and b = -e with e_i = |Ninv phi_i|^2; B and G
     are dropped.  From there on h_i = mu a_i >= mu, so DegenerateSchur
-    cannot fire, and the cost is 1/mu + b_i / a_i: the score is minus the
+    is not checked, and the cost is 1/mu + b_i / a_i: the score is minus the
     K-space gain e_i / (1 + d_i), which decides with no 1/mu cancellation.
     Folding in j is Sherman-Morrison, with u = Ninv phi_j / sqrt(1 + d_j),
 
@@ -193,11 +225,13 @@ class GreedyState:
 
     Each accepted increment is exactly the growth of the submatrix
     objective, so the running trace stays consistent with from-scratch
-    evaluation.  Selected rows score +inf, and a winner's a is set to +inf,
-    so the floor check never names it.  The winner is the first minimum of
-    the score, so ties go to the smallest index when the scores are
-    bitwise equal; distinct rows with mathematically equal scores are
-    ordered by rounding.  candidate_state and the chosen_* values give the
+    evaluation.  Selected rows score +inf.  A candidate whose a is not
+    positive (or whose score overflows) scores just below +inf: below depth
+    K its h is at least mu in exact arithmetic, so it can win only when
+    every candidate is such rounding noise.  The winner is picked by
+    _pick, the smallest index within _TIE of the objective after the step
+    (the running trace plus the score below depth K, tr(Ninv) plus it past
+    it) from the best.  candidate_state and the chosen_* values give the
     paper's p, r and h: h (and the cost) from the carried state, p and r
     from a fresh Cholesky solve against the selected rows, made on request
     only (r = Q_S^{-1} p below depth K, r = A (A^T A + mu I)^{-1} phi_i
@@ -207,7 +241,6 @@ class GreedyState:
     def __init__(self, phi, budget, mu):
         self.phi, self.budget, self.mu, self.q_diag = _prepare(phi, budget, mu)
         n, k = self.phi.shape
-        self._floor = schur_threshold(self.q_diag)
         # every candidate starts at r = [], h = q_ii, so the first step() is
         # the general fold with an empty selected set
         self._a = self.q_diag.copy()
@@ -222,7 +255,6 @@ class GreedyState:
         self.selected = [first]
         self._taken[first] = True
         self.chosen_h = float(self.q_diag[first])
-        self._a[first] = np.inf
         self.objective_trace = [1.0 / self.chosen_h]
 
     @property
@@ -272,7 +304,8 @@ class GreedyState:
             raise InvalidSampleSet("no committed candidate data before the first step")
         p, r = self._border_solve(i)
         a = float(self._a[i])
-        h, cost = self._h_and_cost(a, float(self._b[i]) / a)
+        # a carried a of exactly 0 (rounding, at mu <= 1e-15) costs +inf
+        h, cost = self._h_and_cost(a, float(self._b[i]) / a if a else math.inf)
         return CandidateState(i, p, r, h, cost)
 
     def step(self):
@@ -287,14 +320,17 @@ class GreedyState:
         else:
             self._fold(*self._downdate_ninv())
         a = self._a
-        if below_k and not (a > self._floor).all():
-            i = int(np.flatnonzero(~(a > self._floor))[0])
-            raise DegenerateSchur(f"candidate {i}: schur complement {a[i]:.6e} at or below floor")
-        score = np.divide(self._b, a, out=self._scratch)
+        # a carried a can be exactly 0 at mu <= 1e-15, and a tiny positive
+        # one can overflow b / a; such a score, like that of any a that is
+        # not positive, is masked
+        with np.errstate(divide="ignore", over="ignore"):
+            score = np.divide(self._b, a, out=self._scratch)
+        np.copyto(score, _MASKED, where=~((a > 0) & (score <= _MASKED)))
         score[self._taken] = np.inf
-        winner = int(np.argmin(score))
+        winner = _pick(score, self.objective_trace[-1] if self._ninv is None else float(self._ninv.trace()))
+        if below_k and not a[winner] > schur_threshold(self.q_diag[winner]):
+            raise DegenerateSchur(f"candidate {winner}: schur complement {a[winner]:.6e} at or below floor")
         self.chosen_h, increment = self._h_and_cost(float(a[winner]), float(score[winner]))
-        a[winner] = np.inf
         self.objective_trace.append(self.objective_trace[-1] + increment)
         self.selected.append(winner)
         self._taken[winner] = True
@@ -436,10 +472,12 @@ def _trace_entry(val, t, k, mu):
 def direct_greedy_select(phi, m, mu):
     """Greedy selection evaluating every candidate by explicit factorization.
 
-    Same selection rule as fmbs_select (the first best score, so ties go to
-    the smallest index when scores are bitwise equal), but each candidate
-    is scored from scratch by _extension_traces: the bordered (t+1) x (t+1)
-    submatrix while t + 1 <= K, the K x K shifted normal matrix past it.  A
+    Same selection rule as fmbs_select, through _pick, so exact ties go to
+    the smallest index, but each candidate is scored from scratch by
+    _extension_traces: the bordered (t+1) x (t+1) submatrix while
+    t + 1 <= K, the K x K shifted normal matrix past it.  It checks no
+    Schur floor: where every candidate is degenerate, and fmbs raises
+    DegenerateSchur, it returns the pick that rounding decides.  A
     candidate costs O(min(t+1, K)^3), and nothing is carried from one step
     to the next but the selected indices, so it stays an independent
     correctness oracle for fmbs_select.  Past depth K it cannot raise
@@ -458,8 +496,7 @@ def direct_greedy_select(phi, m, mu):
         start = time.perf_counter_ns()
         t = len(selected)
         vals = _extension_traces(phi, selected, candidates, mu)
-        # argmin keeps the first minimum: bitwise ties go to the smallest index
-        best = int(np.argmin(vals))
+        best = _pick(vals)
         selected.append(int(candidates[best]))
         candidates = np.delete(candidates, best)
         trace.append(_trace_entry(vals[best], t, k, mu))
@@ -470,14 +507,14 @@ def direct_greedy_select(phi, m, mu):
 def exhaustive_select(phi, m, mu):
     """Minimize the submatrix objective exactly over all m-subsets.
 
-    Subsets are enumerated lexicographically and a later subset replaces
-    the best only when it scores strictly lower, so ties go to the
-    lexicographically smallest minimizer only when the scores are bitwise
-    equal.  Distinct subsets whose scores are equal in exact arithmetic,
-    such as two holding the same rows through a copied row, are factored
-    with their rows in different orders, so rounding picks between them,
-    as in the greedy methods.  The subsets sharing their first m - 1 rows
-    are scored together by _extension_traces, so past m = K a subset is
+    Subsets are enumerated lexicographically, _pick chooses among the
+    subsets of one prefix, and a later subset replaces the best only when
+    it scores lower by more than _TIE, so ties go to the lexicographically
+    smallest minimizer.  That holds also for distinct subsets whose scores
+    are equal in exact arithmetic, such as two holding the same rows
+    through a copied row: their rows are factored in different orders, so
+    their scores differ by rounding only.  The subsets sharing their first
+    m - 1 rows are scored together by _extension_traces, so past m = K a subset is
     scored in the K x K form, which drops the constant (m - K)/mu common
     to all of them.  Each prefix of the winner is scored for the objective
     trace as greedy-direct scores a step, by _extension_traces plus that
@@ -489,15 +526,14 @@ def exhaustive_select(phi, m, mu):
     total = math.comb(n, m)
     if total > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"C({n},{m}) = {total} subsets exceeds the limit {EXHAUSTIVE_LIMIT}")
-    best_val = math.inf
-    best = None
+    best_val, best = math.inf, None
     # prefixes in lexicographic order, each followed by its last rows in
     # ascending order, enumerate the m-subsets lexicographically
     for prefix in itertools.combinations(range(n - 1), m - 1):
         last = np.arange(prefix[-1] + 1 if prefix else 0, n)
         vals = _extension_traces(phi, list(prefix), last, mu)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
+        j = _pick(vals)
+        if vals[j] < best_val * (1.0 - _TIE):
             best_val = float(vals[j])
             best = prefix + (int(last[j]),)
     indices = list(best)
@@ -510,6 +546,5 @@ def random_select(n, m, seed):
     """Draw m distinct indices uniformly without replacement; fixed per seed."""
     n = int(n)
     m = _check_budget(m, n)
-    rng = np.random.default_rng(int(seed))
-    idx = rng.choice(n, size=m, replace=False)
+    idx = np.random.default_rng(as_seed(seed)).choice(n, size=m, replace=False)
     return PlacementResult([int(i) for i in idx], [], [], "random")

@@ -206,11 +206,12 @@ def test_place_solver_failure_exits_3(tmp_path):
 
 
 def test_place_degenerate_schur_exits_3(tmp_path):
-    # a copy of the first pick at mu = 1e-13 trips DegenerateSchur
-    base = np.random.default_rng(5).standard_normal((8, 6))
-    matrix = tmp_path / "dup.bin"
-    save_matrix(matrix, np.vstack([base, base[7]]))
-    code = run_cli(["place", "--matrix", str(matrix), "--budget", "9", "--method", "fmbs",
+    # 20 rows of rank 3 at mu = 1e-13: after three picks every candidate's
+    # Schur complement is rounding noise, so fmbs raises DegenerateSchur
+    rng = np.random.default_rng(7)
+    matrix = tmp_path / "rank3.bin"
+    save_matrix(matrix, rng.standard_normal((20, 3)) @ rng.standard_normal((3, 6)))
+    code = run_cli(["place", "--matrix", str(matrix), "--budget", "5", "--method", "fmbs",
                     "--mu", "1e-13", "--out", str(tmp_path / "x.json")])
     assert code == 3
     assert not (tmp_path / "x.json").exists()

@@ -15,7 +15,6 @@ from fmbs import (
     NonFiniteInput,
     NotPositiveDefinite,
     as_sample_set,
-    build_sampling_matrix,
     expected_mse,
     fmbs_select,
     generate,
@@ -23,6 +22,7 @@ from fmbs import (
     monte_carlo_mse,
     observe,
     pseudo_inverse_apply,
+    random_select,
     save_matrix,
     shifted_normal_objective,
 )
@@ -75,28 +75,6 @@ def test_charpoly_oracle_self_check():
             got = sorted(charpoly_eigenvalues(a))
             ref = sorted(np.linalg.eigvalsh(a))
             assert np.allclose(got, ref, rtol=1e-8, atol=1e-10)
-
-
-def test_build_sampling_matrix_single():
-    assert np.array_equal(build_sampling_matrix([1], 3), [[0.0, 1.0, 0.0]])
-
-
-def test_build_sampling_matrix_full_identity():
-    assert np.array_equal(build_sampling_matrix(range(4), 4), np.eye(4))
-
-
-def test_build_sampling_matrix_gather_equivalence():
-    rng = np.random.default_rng(1)
-    phi = rng.standard_normal((7, 3))
-    s = [4, 0, 6]
-    assert np.array_equal(build_sampling_matrix(s, 7) @ phi, phi[s])
-
-
-def test_build_sampling_matrix_errors():
-    with pytest.raises(IndexError):
-        build_sampling_matrix([3], 3)
-    with pytest.raises(ValueError):
-        build_sampling_matrix([1, 1], 3)
 
 
 def test_observe_noiseless():
@@ -345,8 +323,13 @@ def test_monte_carlo_validation():
     (lambda tmp: save_matrix(tmp / "m.x", np.eye(2), fmt="parquet"), InvalidParameter, ValueError),
     (lambda tmp: GreedyState(PHI3, 3, 1e-4).candidate_state(0), InvalidSampleSet, IndexError),
     (lambda tmp: GreedyState(PHI3, 3, 1e-4).candidate_state(1), InvalidSampleSet, ValueError),
+    (lambda tmp: random_select(10, 3, -1), InvalidParameter, ValueError),
+    (lambda tmp: generate(ModelSpec(Model.GAUSSIAN, 10, 3, -1)), InvalidParameter, ValueError),
+    (lambda tmp: observe(PHI3, np.zeros(2), [0, 1], NoiseModel(1.0, -1)), InvalidParameter, ValueError),
+    (lambda tmp: monte_carlo_mse(PHI3, [0, 1], np.zeros(2), 1.0, trials=10, seed=-1),
+     InvalidParameter, ValueError),
 ], ids=["mu", "index-range", "repeated-index", "sigma2", "trials", "format", "selected-candidate",
-        "candidate-before-first-step"])
+        "candidate-before-first-step", "random-seed", "model-seed", "noise-seed", "monte-carlo-seed"])
 def test_boundary_errors_are_named(tmp_path, call, error, builtin):
     # a bad argument raises a named FmbsError that is also the matching
     # builtin, so a handler written for either catches it

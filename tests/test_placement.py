@@ -1,5 +1,8 @@
+import ast
 import itertools
+import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -381,18 +384,101 @@ def test_greedy_state_small_mu(model):
         assert abs(cand.h - chosen_h) <= 1e-12 * cand.h, s
 
 
+def rank3_matrix():
+    """20 x 6 rows of rank 3: past three picks every candidate's h is mu."""
+    rng = np.random.default_rng(7)
+    return rng.standard_normal((20, 3)) @ rng.standard_normal((3, 6))
+
+
 def test_greedy_state_degenerate_schur_names_candidate():
     # row 8 copies row 7, the first pick; at mu = 1e-13 its Schur
-    # complement against its selected twin falls below the floor after the
-    # first fold, and the error names the copy, never the selected row
+    # complement against its selected twin is rounding noise, but it never
+    # wins, so the run completes with greedy-direct's picks
     base = np.random.default_rng(5).standard_normal((8, 6))
     phi = np.vstack([base, base[7]])
-    state = GreedyState(phi, 9, 1e-13)
-    assert state.selected == [7]
-    with pytest.raises(DegenerateSchur, match=r"^candidate 8: "):
-        state.step()
-    with pytest.raises(DegenerateSchur, match=r"^candidate 8: "):
-        fmbs_select(phi, 9, 1e-13)
+    assert fmbs_select(phi, 9, 1e-13).indices == direct_greedy_select(phi, 9, 1e-13).indices
+    # on rank-3 rows every candidate is degenerate after three picks: the
+    # error names the winner, an unselected row
+    state = GreedyState(rank3_matrix(), 5, 1e-13)
+    with pytest.raises(DegenerateSchur, match=r"^candidate \d+: ") as excinfo:
+        while not state.complete:
+            state.step()
+    assert len(state.selected) == 3
+    named = int(str(excinfo.value).split()[1].rstrip(":"))
+    assert named not in state.selected
+
+
+@pytest.mark.parametrize("mu", [1e-12, 1e-13, 1e-14])
+def test_direct_greedy_picks_on_all_degenerate_input(mu):
+    # greedy-direct factors each candidate's matrix and has no floor: where
+    # every candidate is degenerate it returns the pick that rounding
+    # decides, while fmbs refuses the step
+    phi = rank3_matrix()
+    assert len(direct_greedy_select(phi, 5, mu).indices) == 5
+    with pytest.raises(DegenerateSchur):
+        fmbs_select(phi, 5, mu)
+
+
+def degenerate_probe_inputs():
+    """Inputs with rows whose Schur complement falls to rounding at tiny mu."""
+    gauss = generate(ModelSpec(Model.GAUSSIAN, 40, 6, 1))
+    yield "gaussian-copy", np.vstack([gauss, gauss]), (5, 9)
+    for n, k, seed in ((300, 10, 1), (300, 10, 2), (200, 20, 1)):
+        yield f"bernoulli-{n}x{k}-{seed}", generate(ModelSpec(Model.BERNOULLI, n, k, seed)), (k - 1, k + 3)
+    base = np.random.default_rng(5).standard_normal((8, 6))
+    yield "eight-plus-copy", np.vstack([base, base[7]]), (9,)
+
+
+def degenerate_probe_params():
+    for name, phi, budgets in degenerate_probe_inputs():
+        for mu in (1e-12, 1e-13, 1e-14):
+            for m in budgets:
+                yield pytest.param(phi, m, mu, id=f"{name}-{m}-{mu:g}")
+
+
+@pytest.mark.parametrize("phi,m,mu", degenerate_probe_params())
+def test_fmbs_completes_at_tiny_mu(phi, m, mu):
+    # duplicate and {0, 1} rows at mu <= 1e-12: fmbs completes wherever
+    # greedy-direct does, with its picks, and every trace entry matches
+    # (t - K)/mu + sum 1/(sigma^2 + mu) from an SVD of the first t picks
+    result = fmbs_select(phi, m, mu)
+    assert result.indices == direct_greedy_select(phi, m, mu).indices
+    k = phi.shape[1]
+    for t, value in enumerate(result.objective_trace, start=1):
+        sigma = np.linalg.svd(phi[result.indices[:t]], compute_uv=False)
+        ref = max(0, t - k) / mu + float(np.sum(1.0 / (sigma**2 + mu)))
+        assert abs(value - ref) <= 1e-12 * ref, t
+
+
+@pytest.mark.parametrize("mu", [1e-15, 1e-16])
+def test_tiny_mu_raises_no_runtime_warning(mu):
+    # a carried h of exactly 0 is masked, not divided into a warning; the
+    # all-degenerate input raises the named error and nothing else
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _, phi, budgets in degenerate_probe_inputs():
+            assert len(fmbs_select(phi, budgets[-1], mu).indices) == budgets[-1]
+        with pytest.raises(DegenerateSchur):
+            fmbs_select(rank3_matrix(), 5, mu)
+        # a candidate whose carried h is exactly 0 (one here at mu = 1e-16)
+        # reports an infinite cost rather than dividing by zero
+        base = np.random.default_rng(5).standard_normal((8, 6))
+        state = GreedyState(np.vstack([base, base[7]]), 9, mu)
+        while not state.complete:
+            state.step()
+            for i in state.candidate_indices():
+                cand = state.candidate_state(int(i))
+                assert cand.h != 0.0 or cand.cost == np.inf
+
+
+def test_overflowing_score_is_masked():
+    # at a subnormal mu every b / a overflows and so does the objective:
+    # the overflowed scores are masked below the selected row's +inf, and
+    # the error names an unselected row, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSchur, match=r"^candidate 1: "):
+            fmbs_select(np.full((5, 2), 1e-160), 3, 1e-310)
 
 
 def test_selected_rows_excluded_in_both_regimes():
@@ -522,8 +608,8 @@ def test_fmbs_picks_score_as_exact_best(n, k, m, seed):
 @pytest.mark.parametrize("n,k,m", [(500, 20, 60), (2000, 50, 150)])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_fmbs_picks_score_as_exact_best_bernoulli(n, k, m, seed):
-    # {0, 1} rows tie exactly, and rounding orders the ties; whichever
-    # wins, every pick scores as the exact best
+    # {0, 1} rows tie exactly, and the smallest index among the tied wins;
+    # every pick scores as the exact best
     phi = generate(ModelSpec(Model.BERNOULLI, n, k, seed))
     assert_picks_exact_best(phi, fmbs_select(phi, m, MU).indices, 1)
 
@@ -533,6 +619,47 @@ def test_fmbs_picks_score_as_exact_best_far_past_k(seed):
     # M = 20 K: every 10th pick, nearly all of them in K space
     phi = np.random.default_rng(seed).standard_normal((2000, 20))
     assert_picks_exact_best(phi, fmbs_select(phi, 400, MU).indices, 10)
+
+
+@pytest.mark.parametrize("n,k,m", [(200, 20, 40), (300, 10, 30)])
+def test_bernoulli_ties_agree_with_direct_greedy(n, k, m):
+    # exact ties on {0, 1} rows go to the smallest index in both methods,
+    # whatever either one's rounding, so their sequences are identical
+    for seed in range(1, 31):
+        phi = generate(ModelSpec(Model.BERNOULLI, n, k, seed))
+        assert fmbs_select(phi, m, MU).indices == direct_greedy_select(phi, m, MU).indices, seed
+
+
+def test_pick_tie_width():
+    # scores within _TIE of the objective after the step (offset + best)
+    # are one decision for the smallest index; 4 _TIE apart, the better wins
+    from fmbs.placement import _MASKED, _TIE, _pick
+
+    objective = 3.0
+    offset = objective - 1.0
+    assert _pick(np.array([1.0 + 0.5 * _TIE * objective, 1.0]), offset) == 0
+    assert _pick(np.array([1.0 + 4.0 * _TIE * objective, 1.0]), offset) == 1
+    assert _pick(np.array([-1.0, -1.0 - 0.5 * _TIE * 2.0]), 3.0) == 0
+    # every candidate masked: the first one wins over the selected row's
+    # +inf, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _pick(np.array([np.inf, _MASKED, _MASKED]), 5.0) == 1
+        assert _pick(np.array([np.inf, _MASKED]), np.inf) == 1
+
+
+def test_placement_picks_only_through_pick():
+    # every pick of every method goes through _pick, so one tie rule holds
+    import fmbs.placement as placement
+
+    tree = ast.parse(pathlib.Path(placement.__file__).read_text())
+    callers = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr in ("argmin", "nanargmin"):
+                    callers.add(func.name)
+    assert callers == {"_pick"}
 
 
 def reference_greedy(phi, picks, mu):
@@ -688,12 +815,12 @@ def test_exhaustive_stack_size_invisible(monkeypatch, entries):
 def test_exhaustive_exact_tie_within_ulps():
     # rows 7-13 copy rows 0-6, so the eight subsets holding rows 0, 4 and 6
     # tie in exact arithmetic; their rows are factored in different orders,
-    # so rounding, not the lexicographic order, picks among them, and the
-    # pick is pinned to those rows and to the best score within ulps
+    # and their scores differ by ulps, within the tie width, so the
+    # lexicographically smallest of them wins, at the best score within ulps
     base = np.random.default_rng(29).standard_normal((7, 3))
     phi = np.vstack([base, base])
     result = exhaustive_select(phi, 3, MU)
-    assert sorted(i % 7 for i in result.indices) == [0, 4, 6]
+    assert result.indices == [0, 4, 6]
     best = min(submatrix_objective(phi, s, MU) for s in itertools.combinations(range(14), 3))
     assert abs(result.objective_trace[-1] - best) <= 4 * np.spacing(best)
 
