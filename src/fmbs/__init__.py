@@ -5,8 +5,9 @@ Library layers:
 * :mod:`fmbs.linalg` -- dense kernels (shifted Gram matrices, Cholesky
   factors and their triangular inverse, SPD solves, trace of inverse,
   bordered-inverse update, least-squares apply), the checked inputs
-  (matrix, vector, sample set and the rows it gathers, random seed) and
-  the one transient-memory block every blocked loop is sized by;
+  (matrix, vector, sample set and the rows it gathers, shift, noise
+  variance, random seed, count) and the one transient-memory block every
+  blocked loop is sized by;
 * :mod:`fmbs.placement` -- the fast warm-start greedy sampler plus
   direct-greedy, exhaustive and random baselines and both objectives;
 * :mod:`fmbs.inverse` -- observation model, least-squares recovery,
@@ -24,6 +25,7 @@ from .errors import (
     DegenerateSchur,
     DimensionError,
     FmbsError,
+    InputError,
     InvalidParameter,
     InvalidSampleSet,
     InvalidSpec,
@@ -71,6 +73,7 @@ __all__ = [
     "Estimate",
     "FmbsError",
     "GreedyState",
+    "InputError",
     "InvalidParameter",
     "InvalidSampleSet",
     "InvalidSpec",

@@ -7,16 +7,20 @@ Subcommands:
 * ``bench``    MSE-versus-budget sweeps over seeded matrix draws, emit CSV;
 * ``scaling``  wall-time sweeps with a fitted log-log slope report.
 
-Exit codes: 0 on success; 2 when a flag or the input is at fault, which
-argparse reports for a malformed flag and main() for the library's input
-errors (BudgetError, DimensionError, InvalidParameter, InvalidSampleSet,
-InvalidSpec, NonFiniteInput, ParseError) and an unreadable or unwritable
-path (OSError); 3 for every other FmbsError, when a selection or its
-evaluation fails (DegenerateSchur, NotPositiveDefinite, TooLarge).  main()
-is the one place that turns an error into an exit code; it prints one
-``error: <name>: <message>`` line to stderr.  Every output path is checked
-before any matrix is loaded or drawn, so a missing or unwritable directory
-exits 2 at once, with no output.
+Exit codes: 0 on success; 2 when a flag or the input is at fault; 3 for
+any other FmbsError, when a selection or its evaluation fails
+(DegenerateSchur, NotPositiveDefinite, TooLarge).  Argparse exits 2 itself
+only for a value it cannot parse: a missing flag, an unknown choice, a
+number, range or method list that does not parse.  Every other bad input
+raises an InputError (the base of the library's input errors) or, for an
+unreadable or unwritable path, an OSError, and main() exits 2 for either.
+main() is the one place that turns an error into an exit code; it prints
+one ``error: <name>: <message>`` line to stderr.  Before any handler runs,
+main() checks --mu, --sigma2, --seed, --trials and --repeats by the
+library's own rules (linalg's as_shift, as_variance, as_seed, as_count);
+the (0, 1] range of --fraction is the one rule only the CLI states.  Every
+output path is checked before any matrix is loaded or drawn, so a missing
+or unwritable directory exits 2 at once, with no output.
 
 Timing covers selection only, never matrix generation, MSE evaluation or
 I/O.  ``bench`` runs each greedy method (fmbs, greedy-direct) once per trial
@@ -29,6 +33,7 @@ with the same flags and seed, except for the timing columns/fields.
 import argparse
 import csv
 import errno
+import functools
 import json
 import os
 import sys
@@ -36,9 +41,9 @@ import time
 
 import numpy as np
 
-from .errors import (BudgetError, DimensionError, FmbsError, InvalidParameter, InvalidSampleSet,
-                     InvalidSpec, NonFiniteInput, ParseError)
+from .errors import BudgetError, FmbsError, InputError, InvalidParameter, InvalidSpec
 from .inverse import expected_mse
+from .linalg import as_count, as_seed, as_shift, as_variance
 from .matgen import Model, ModelSpec, generate
 from .matio import load_matrix, save_matrix
 from .placement import direct_greedy_select, exhaustive_select, fmbs_select, random_select
@@ -47,9 +52,10 @@ METHODS = ("fmbs", "greedy-direct", "random", "exhaustive")
 # greedy methods whose selection to budget m is the first m picks of any
 # longer run on the same matrix, so bench runs them once per trial
 _NESTED_METHODS = ("fmbs", "greedy-direct")
-# errors that blame the input, so main() exits 2; any other FmbsError exits 3
-_INPUT_ERRORS = (BudgetError, DimensionError, InvalidParameter, InvalidSampleSet, InvalidSpec,
-                 NonFiniteInput, ParseError, OSError)
+# the library rule of each numeric flag; main() runs those its subcommand has
+_FLAG_RULES = {"mu": as_shift, "sigma2": as_variance, "seed": as_seed,
+               "trials": functools.partial(as_count, what="trials"),
+               "repeats": functools.partial(as_count, what="repeats")}
 
 
 def _child_seed(*key):
@@ -221,6 +227,8 @@ def _cmd_bench(args):
 
 
 def _cmd_scaling(args):
+    if not 0.0 < args.fraction <= 1.0:
+        raise InvalidParameter(f"--fraction must be in (0, 1], got {args.fraction}")
     _check_writable(args.out)
     if args.sweep == "m":
         if args.n is None:
@@ -268,22 +276,8 @@ def _cmd_scaling(args):
     return 0
 
 
-def _checked(kind, ok, what):
-    """Argparse type: kind(text) for which ok(value) holds; NaN fails every bound."""
-
-    def parse(text):
-        value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{what}, got {text}")
-        return value
-
-    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
-    return parse
-
-
 def _add_common_seed(sub):
-    sub.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "must be non-negative"),
-                     default=0, help="non-negative root seed (default 0)")
+    sub.add_argument("--seed", type=int, default=0, help="non-negative root seed (default 0)")
 
 
 def build_parser():
@@ -292,8 +286,6 @@ def build_parser():
         description="Greedy sensor placement benchmark harness for linear inverse problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    mu_type = _checked(float, lambda v: 0.0 < v < np.inf, "must be positive and finite")
-    count_type = _checked(int, lambda v: v >= 1, "must be at least 1")
 
     gen = sub.add_parser("gen", help="write a seeded random measurement matrix")
     gen.add_argument("--model", type=int, required=True, choices=(1, 2),
@@ -312,7 +304,7 @@ def build_parser():
                        help="number of rows to select; a least-squares design needs at least "
                             "as many as the matrix has columns (K), and with fmbs a budget far "
                             "below K still reads the whole matrix every step")
-    place.add_argument("--mu", type=mu_type, default=1e-4,
+    place.add_argument("--mu", type=float, default=1e-4,
                        help="positive objective shift (default 1e-4)")
     place.add_argument("--method", required=True, choices=METHODS)
     _add_common_seed(place)
@@ -325,12 +317,10 @@ def build_parser():
     bench.add_argument("--k", type=int, required=True)
     bench.add_argument("--budgets", type=_parse_budgets, required=True,
                        help="A:B:STEP (both ends included when aligned) or a single integer")
-    bench.add_argument("--trials", type=count_type, default=10,
+    bench.add_argument("--trials", type=int, default=10,
                        help="independent matrix draws per cell (default 10)")
-    bench.add_argument("--mu", type=mu_type, default=1e-4)
-    bench.add_argument("--sigma2", default=1.0,
-                       type=_checked(float, lambda v: 0.0 <= v < np.inf,
-                                           "must be nonnegative and finite"),
+    bench.add_argument("--mu", type=float, default=1e-4)
+    bench.add_argument("--sigma2", type=float, default=1.0,
                        help="noise variance in the recorded MSE (default 1)")
     _add_common_seed(bench)
     bench.add_argument("--methods", type=_parse_methods, required=True,
@@ -352,13 +342,12 @@ def build_parser():
                          help="fixed budget for --sweep n (default: fraction of n)")
     scaling.add_argument("--k", type=int, default=None,
                          help="parameter count (default: matches the budget)")
-    scaling.add_argument("--fraction", default=0.1,
-                         type=_checked(float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    scaling.add_argument("--fraction", type=float, default=0.1,
                          help="budget fraction of n for --sweep n without --m (default 0.1)")
     scaling.add_argument("--method", default="fmbs", choices=METHODS)
-    scaling.add_argument("--mu", type=mu_type, default=1e-4)
+    scaling.add_argument("--mu", type=float, default=1e-4)
     _add_common_seed(scaling)
-    scaling.add_argument("--repeats", type=count_type, default=3,
+    scaling.add_argument("--repeats", type=int, default=3,
                          help="timed repeats per point (default 3)")
     scaling.add_argument("--out", required=True, help="CSV path")
     scaling.set_defaults(handler=_cmd_scaling)
@@ -369,10 +358,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for flag, rule in _FLAG_RULES.items():
+            if flag in vars(args):
+                rule(getattr(args, flag))
         return args.handler(args)
     except (FmbsError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _INPUT_ERRORS) else 3
+        return 2 if isinstance(exc, (InputError, OSError)) else 3
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidParameter
-from .linalg import (_BLOCK_ENTRIES, as_seed, as_vector, pseudo_inverse_apply, sample_rows, shifted_gram,
-                     trace_inverse)
+from .errors import DimensionError
+from .linalg import (_BLOCK_ENTRIES, as_count, as_seed, as_variance, as_vector, pseudo_inverse_apply,
+                     sample_rows, shifted_gram, trace_inverse)
 
 
 def _check_g(g, k):
@@ -24,13 +24,6 @@ def _check_g(g, k):
     return g
 
 
-def _check_sigma2(sigma2):
-    sigma2 = float(sigma2)
-    if not 0.0 <= sigma2 < math.inf:
-        raise InvalidParameter(f"noise variance must be nonnegative and finite, got {sigma2}")
-    return sigma2
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """I.i.d. zero-mean Gaussian observation noise with variance sigma2."""
@@ -39,7 +32,7 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        _check_sigma2(self.sigma2)
+        as_variance(self.sigma2)
         object.__setattr__(self, "seed", as_seed(self.seed))
 
 
@@ -76,7 +69,7 @@ def expected_mse(phi, s, sigma2):
     gathered rows, i.e. sigma2 * sum_k 1/lambda_k.
     """
     _, a = sample_rows(phi, s)
-    sigma2 = _check_sigma2(sigma2)
+    sigma2 = as_variance(sigma2)
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least {a.shape[1]} samples, got {a.shape[0]}")
     return sigma2 * trace_inverse(shifted_gram(a, 0.0))
@@ -91,10 +84,8 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
     """
     _, a = sample_rows(phi, s)
     g = _check_g(g, a.shape[1])
-    sigma2 = _check_sigma2(sigma2)
-    trials = int(trials)
-    if trials < 1:
-        raise InvalidParameter(f"trials must be at least 1, got {trials}")
+    sigma2 = as_variance(sigma2)
+    trials = as_count(trials, "trials")
     clean = a @ g
     scale = math.sqrt(sigma2)
     rng = np.random.default_rng(as_seed(seed))

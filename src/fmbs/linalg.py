@@ -6,9 +6,12 @@ routine is a pure function of its inputs.  This is the one module that
 forms a shifted Gram matrix or consumes its factor.
 
 It also holds the two decisions the sampler and the estimators share.
-Checked inputs: ``as_matrix``, ``as_vector``, ``as_sample_set`` and
-``as_seed`` turn a matrix, a vector, a sample set and a random seed into
-arrays (a nonnegative int for the seed) or raise a named error, and
+Checked inputs: ``as_matrix``, ``as_vector`` and ``as_sample_set`` turn a
+matrix, a vector and a sample set into arrays, and ``as_shift``,
+``as_variance``, ``as_seed`` and ``as_count`` turn a shift mu > 0, a
+noise variance sigma2 >= 0, a random seed >= 0 and a count >= 1 into a
+float or an int, or each raises a named error; these are the package's
+only statements of those rules, which the CLI runs on its flags too.
 ``sample_rows`` checks a matrix and a sample set against it and gathers
 the selected rows.  Transient memory: ``_BLOCK_ENTRIES`` is the one block
 that sizes every blocked loop of the package.  The kernels:
@@ -146,11 +149,32 @@ def as_sample_set(s, n):
     return idx.astype(np.intp, copy=False)
 
 
+def as_shift(mu):
+    """Coerce to a positive finite float shift mu, or raise InvalidParameter."""
+    if not 0.0 < float(mu) < np.inf:
+        raise InvalidParameter(f"shift mu must be positive and finite, got {mu}")
+    return float(mu)
+
+
+def as_variance(sigma2):
+    """Coerce to a nonnegative finite float noise variance, or raise InvalidParameter."""
+    if not 0.0 <= float(sigma2) < np.inf:
+        raise InvalidParameter(f"noise variance must be nonnegative and finite, got {sigma2}")
+    return float(sigma2)
+
+
 def as_seed(seed):
     """Coerce to a nonnegative int random seed, or raise InvalidParameter."""
     if int(seed) < 0:
         raise InvalidParameter(f"seed must be nonnegative, got {seed}")
     return int(seed)
+
+
+def as_count(n, what):
+    """Coerce to an int of at least 1, or raise InvalidParameter naming what it counts."""
+    if int(n) < 1:
+        raise InvalidParameter(f"{what} must be at least 1, got {n}")
+    return int(n)
 
 
 def sample_rows(phi, s):

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, InvalidParameter, InvalidSampleSet, NonFiniteInput, TooLarge
-from .linalg import (_BLOCK_ENTRIES, as_matrix, as_seed, cholesky, invert_lower, sample_rows,
+from .linalg import (_BLOCK_ENTRIES, as_matrix, as_seed, as_shift, cholesky, invert_lower, sample_rows,
                      schur_threshold, shifted_gram, spd_solve, trace_inverse)
 
 EXHAUSTIVE_LIMIT = 1_000_000
@@ -102,13 +102,6 @@ def _pick(score, offset=0.0):
     return int(np.argmax(score <= min(best + _TIE * abs(offset + best), _MASKED)))
 
 
-def _check_mu(mu):
-    mu = float(mu)
-    if not 0.0 < mu < math.inf:
-        raise InvalidParameter(f"shift mu must be positive and finite, got {mu}")
-    return mu
-
-
 def _check_budget(m, n):
     m = int(m)
     if m < 1 or m > n:
@@ -120,12 +113,16 @@ def _prepare(phi, m, mu):
     """Checked matrix, budget and shift, and the shifted squared row norms.
 
     Returns (phi, m, mu, q) with phi C-contiguous and q_ii = |phi_i|^2 + mu.
-    A row whose q_ii overflows raises NonFiniteInput naming it, before any
-    method scores a candidate against it.
+    Every objective of m rows is at most m/mu, because Q_S >= mu I, so a mu
+    for which m/mu overflows raises InvalidParameter naming both, and a row
+    whose q_ii overflows raises NonFiniteInput naming it, before any method
+    scores a candidate.
     """
     phi = np.ascontiguousarray(as_matrix(phi))
     m = _check_budget(m, phi.shape[0])
-    mu = _check_mu(mu)
+    mu = as_shift(mu)
+    if not math.isfinite(m / mu):
+        raise InvalidParameter(f"shift mu={mu} is too small for budget m={m}: the bound m/mu overflows")
     q_diag = np.einsum("ij,ij->i", phi, phi) + mu
     bad = np.flatnonzero(~np.isfinite(q_diag))
     if bad.size:
@@ -140,13 +137,13 @@ def shifted_normal_objective(phi, s, mu):
     K x K gram matrix of the rows of phi indexed by s.
     """
     _, a = sample_rows(phi, s)
-    return trace_inverse(shifted_gram(a, _check_mu(mu)))
+    return trace_inverse(shifted_gram(a, as_shift(mu)))
 
 
 def submatrix_objective(phi, s, mu):
     """Trace of the inverse principal submatrix of Phi Phi^T + mu I indexed by s."""
     _, a = sample_rows(phi, s)
-    return trace_inverse(shifted_gram(a.T, _check_mu(mu)))
+    return trace_inverse(shifted_gram(a.T, as_shift(mu)))
 
 
 @dataclass(frozen=True)

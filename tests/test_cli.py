@@ -143,7 +143,8 @@ def test_exit_code_table(monkeypatch, capsys, phi3_file, tmp_path):
     expected = {
         errors.BudgetError: 2, errors.DimensionError: 2, errors.InvalidSpec: 2,
         errors.NonFiniteInput: 2, errors.ParseError: 2, errors.InvalidParameter: 2,
-        errors.InvalidSampleSet: 2, OSError: 2, FileNotFoundError: 2, PermissionError: 2,
+        errors.InvalidSampleSet: 2, errors.InputError: 2, OSError: 2, FileNotFoundError: 2,
+        PermissionError: 2,
         errors.DegenerateSchur: 3, errors.NotPositiveDefinite: 3, errors.TooLarge: 3,
         errors.FmbsError: 3,
     }
@@ -331,6 +332,8 @@ def test_bench_validation_exit_2(tmp_path):
     assert run_cli(base + ["--budgets", "2:10:2"]) == 2  # budget below k
     assert run_cli(base + ["--budgets", "3:30:3"]) == 2  # budget above n
     assert run_cli(base + ["--budgets", "oops"]) == 2
+    assert run_cli(base + ["--budgets", "5:3:1"]) == 2  # descending range
+    assert run_cli(base + ["--budgets", "3:5:0"]) == 2  # zero step
     assert run_cli(["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5",
                     "--trials", "1", "--methods", "warp", "--out", out]) == 2
     assert run_cli(["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5",

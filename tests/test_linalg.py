@@ -178,6 +178,8 @@ def test_block_inverse_update_degenerate_schur():
 def test_block_inverse_update_shape_checks():
     with pytest.raises(DimensionError):
         block_inverse_update(np.eye(2), [1.0], 1.0)
+    with pytest.raises(DimensionError, match="must be square"):
+        block_inverse_update(np.ones((2, 3)), [1.0, 1.0], 1.0)
 
 
 def test_schur_threshold():
@@ -231,6 +233,11 @@ def test_pseudo_inverse_underdetermined_rejected():
         pseudo_inverse_apply([[1.0, 2.0]], [1.0])
 
 
+def test_pseudo_inverse_observation_length_checked():
+    with pytest.raises(DimensionError, match="observation length 2 != row count 3"):
+        pseudo_inverse_apply(np.eye(3, 2), [1.0, 2.0])
+
+
 def test_linalg_owns_every_factorization():
     # one module forms shifted Gram matrices and consumes their factors:
     # no other module of the package touches numpy.linalg, this one calls
@@ -274,6 +281,17 @@ def test_finite_check_holds_no_entry_mask(traced_peak):
     phi = np.random.default_rng(31).standard_normal((10000, 100))
     assert traced_peak(lambda: as_matrix(phi)) <= 0.01 * phi.nbytes
     assert traced_peak(lambda: expected_mse(phi, range(120), 1.0)) <= 0.1 * phi.nbytes
+
+
+@pytest.mark.parametrize("check, shape, message", [
+    (as_matrix, (3,), "2-d matrix, got ndim=1"),
+    (as_matrix, (2, 2, 2), "2-d matrix, got ndim=3"),
+    (as_matrix, (0, 3), "dimensions must be positive"),
+    (as_vector, (2, 2), "1-d vector, got ndim=2"),
+], ids=["matrix-1d", "matrix-3d", "matrix-0xK", "vector-2d"])
+def test_checked_inputs_reject_bad_shapes(check, shape, message):
+    with pytest.raises(DimensionError, match=message):
+        check(np.ones(shape))
 
 
 def test_finite_entries_whose_sum_overflows_pass():

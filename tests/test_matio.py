@@ -97,6 +97,22 @@ def test_text_nonfinite_rejected(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("blob, message", [
+    (b"\xff\xfe rows", "neither magic-tagged binary nor utf-8 text"),
+    (MAGIC + bytes([BINARY_VERSION]) + bytes(8), "truncated header"),
+    (_HEADER.pack(MAGIC, BINARY_VERSION, 0, 3), "dimensions must be positive, got 0x3"),
+    (_HEADER.pack(MAGIC, BINARY_VERSION, 1, 2) + np.array([np.nan, 1.0]).tobytes(), "must be finite"),
+    (b"a,b\n1,2\n", "header must be two integers"),
+    (b"0,3\n", "dimensions must be positive, got 0x3"),
+], ids=["not-utf8", "short-header", "binary-zero-dim", "binary-nan", "text-header-words",
+        "text-header-zero"])
+def test_malformed_file_raises_parse_error(tmp_path, blob, message):
+    path = tmp_path / "m.dat"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match=message):
+        load_matrix(path)
+
+
 def test_empty_file(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("")

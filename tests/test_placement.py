@@ -12,6 +12,7 @@ from fmbs import (
     DegenerateSchur,
     FmbsError,
     GreedyState,
+    InvalidParameter,
     Model,
     ModelSpec,
     NonFiniteInput,
@@ -471,14 +472,16 @@ def test_tiny_mu_raises_no_runtime_warning(mu):
                 assert cand.h != 0.0 or cand.cost == np.inf
 
 
-def test_overflowing_score_is_masked():
-    # at a subnormal mu every b / a overflows and so does the objective:
-    # the overflowed scores are masked below the selected row's +inf, and
-    # the error names an unselected row, with no overflow warning
+def test_overflowing_objective_bound_is_refused():
+    # every objective of m rows is at most m / mu, so a mu at which that
+    # bound overflows is refused at the boundary, naming mu and m, before
+    # any score is formed (1e-308 itself has a finite reciprocal)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateSchur, match=r"^candidate 1: "):
-            fmbs_select(np.full((5, 2), 1e-160), 3, 1e-310)
+        for mu, budget in ((1e-310, 3), (1e-308, 5)):
+            for select in (fmbs_select, direct_greedy_select):
+                with pytest.raises(InvalidParameter, match=rf"mu={mu}.*m={budget}"):
+                    select(np.full((20, 3), 1e-160), budget, mu)
 
 
 def test_selected_rows_excluded_in_both_regimes():
