@@ -58,16 +58,16 @@ from .errors import (DegenerateSchur, DimensionError, InvalidParameter, InvalidS
 # count (Phi Ninv whole is 8 MB at 10000 x 100, the rows of 10000
 # candidates 8 MB too, 10^5 trials at |S| = 20 16 MB).  A block's size
 # does not change any sampler result bitwise, nor a Monte-Carlo draw.
-# The size is greedy-direct's fastest stack: direct_greedy_select at
-# N/K/M = 500/20/60 (three Gaussian matrices, 7 rounds, sizes
-# interleaved; 2 vCPUs, OpenBLAS 0.3.31), median per call: 2**12 177 ms,
-# 2**13 121, 2**14 94, 2**15 78, 2**16 84.  The step up at 2**16 is
-# glibc's allocator, not the cache: with MALLOC_MMAP_THRESHOLD_ and
-# MALLOC_TRIM_THRESHOLD_ raised in the measuring process, 2**15 took 78
-# ms and 2**16 71 ms.  A stack and its factor (512 KB each at 2**16) fall
-# on either side of the mmap and trim thresholds, which move with the
-# process's allocation history; a kernel that also allocated the inverse
-# swung between 74 and 110 ms at 2**16.
+# Timed on direct_greedy_select at N/K/M = 500/20/60 (three Gaussian
+# matrices, 7 rounds, sizes interleaved; 2 vCPUs, OpenBLAS 0.3.31),
+# median per call: 2**12 177 ms, 2**13 121, 2**14 94, 2**15 78, 2**16 84
+# while each call allocated its stack, the step up at 2**16 being
+# glibc's allocator (with MALLOC_MMAP_THRESHOLD_ and
+# MALLOC_TRIM_THRESHOLD_ raised, 2**16 took 71 ms).  With the rows and
+# stack buffers allocated once per run, so that a stack allocates only
+# its factor: 2**13 121 ms, 2**14 92, 2**15 77, 2**16 70, 2**17 71.
+# 2**16 would gain 9% on that run but double the block every loop holds,
+# past the traced-peak bounds the tests set, so the block stays 2**15.
 _BLOCK_ENTRIES = 1 << 15
 
 # Row-block cap of the triangular inverse in invert_lower: a side up to
@@ -164,16 +164,24 @@ def as_variance(sigma2):
 
 
 def as_seed(seed):
-    """Coerce to a nonnegative int random seed, or raise InvalidParameter."""
-    if int(seed) < 0:
-        raise InvalidParameter(f"seed must be nonnegative, got {seed}")
+    """Coerce to a nonnegative int random seed, or raise InvalidParameter.
+
+    An integral float or a numpy integer is accepted; 1.9 is refused, not
+    truncated.
+    """
+    if int(seed) != seed or seed < 0:
+        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed}")
     return int(seed)
 
 
 def as_count(n, what):
-    """Coerce to an int of at least 1, or raise InvalidParameter naming what it counts."""
-    if int(n) < 1:
-        raise InvalidParameter(f"{what} must be at least 1, got {n}")
+    """Coerce to an int of at least 1, or raise InvalidParameter naming what it counts.
+
+    An integral float or a numpy integer is accepted; 2.7 is refused, not
+    truncated.
+    """
+    if int(n) != n or n < 1:
+        raise InvalidParameter(f"{what} must be an integer of at least 1, got {n}")
     return int(n)
 
 

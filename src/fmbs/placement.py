@@ -28,7 +28,8 @@ the score there is minus the K-space gain e_i / (1 + d_i), which decides
 without any 1/mu cancellation, at every mu > 0.
 
 A step costs two matrix-vector products with Phi plus O(K^2 + |S| K)
-work on small matrices (three reads of B and one of G up to depth K), so
+work on small matrices (three reads of B and one of G up to depth K),
+and writes its N-vectors into buffers allocated once per run, so
 a run at budget M costs O(N K M) and holds O(N + K^2) state, plus one
 256 KB block (linalg._BLOCK_ENTRIES) of Phi Ninv while the switch to K space
 builds d and e block by block; r_i and p_i are computed afresh, on
@@ -48,8 +49,9 @@ shifted normal matrix, whose trace of inverse differs from the submatrix
 objective by the constant (t + 1 - K)/mu.  The K x K form keeps the 1/mu
 term out of the factorization, so the oracle stays well-conditioned at any
 mu > 0.  Candidates are gathered and factored in stacks of one block,
-so the oracle's transient memory is bounded too.  It is deliberately kept
-independent of the fast path.
+written into buffers allocated once per run, so the oracle's transient
+memory is bounded too and a step allocates little beyond each stack's
+Cholesky factor.  It is deliberately kept independent of the fast path.
 ``exhaustive_select`` and ``random_select`` provide the optimal and the
 weak reference baselines.
 
@@ -98,15 +100,15 @@ def _pick(score, offset=0.0):
     floats, which overflow without a warning, and capped at the largest
     float, so a score of +inf (a selected row) is never within it.
     """
-    best = float(score[np.argmin(score)])
-    return int(np.argmax(score <= min(best + _TIE * abs(offset + best), _MASKED)))
+    best = float(score[score.argmin()])
+    return int((score <= min(best + _TIE * abs(offset + best), _MASKED)).argmax())
 
 
 def _check_budget(m, n):
-    m = int(m)
-    if m < 1 or m > n:
-        raise BudgetError(f"budget must be in [1, {n}], got {m}")
-    return m
+    """The budget m as an int in [1, n]; a non-integral m raises, not truncates."""
+    if int(m) != m or not 1 <= m <= n:
+        raise BudgetError(f"budget must be an integer in [1, {n}], got {m}")
+    return int(m)
 
 
 def _prepare(phi, m, mu):
@@ -246,7 +248,14 @@ class GreedyState:
         self._basis = np.empty((side, k))
         self._g = np.empty((side, side))
         self._ninv = None
+        # the buffers a step writes below depth K and in every fold,
+        # allocated once per run: w and z, B^T w and B^T z, Phi u1 and
+        # Phi u2, the scores and the mask
+        self._wz = np.empty((2, side))
+        self._bwz = np.empty((2, k))
+        self._c = np.empty((2, n))
         self._scratch = np.empty(n)
+        self._masks = np.empty((2, n), dtype=bool)
         self._taken = np.zeros(n, dtype=bool)
         first = int(np.argmax(self.q_diag))
         self.selected = [first]
@@ -322,12 +331,16 @@ class GreedyState:
         # not positive, is masked
         with np.errstate(divide="ignore", over="ignore"):
             score = np.divide(self._b, a, out=self._scratch)
-        np.copyto(score, _MASKED, where=~((a > 0) & (score <= _MASKED)))
-        score[self._taken] = np.inf
+        masked, finite = self._masks
+        np.greater(a, 0.0, out=masked)
+        np.logical_and(masked, np.less_equal(score, _MASKED, out=finite), out=masked)
+        np.copyto(score, _MASKED, where=np.logical_not(masked, out=masked))
+        np.copyto(score, np.inf, where=self._taken)
         winner = _pick(score, self.objective_trace[-1] if self._ninv is None else float(self._ninv.trace()))
-        if below_k and not a[winner] > schur_threshold(self.q_diag[winner]):
-            raise DegenerateSchur(f"candidate {winner}: schur complement {a[winner]:.6e} at or below floor")
-        self.chosen_h, increment = self._h_and_cost(float(a[winner]), float(score[winner]))
+        a_winner = float(a[winner])
+        if below_k and not a_winner > schur_threshold(float(self.q_diag[winner])):
+            raise DegenerateSchur(f"candidate {winner}: schur complement {a_winner:.6e} at or below floor")
+        self.chosen_h, increment = self._h_and_cost(a_winner, float(score[winner]))
         self.objective_trace.append(self.objective_trace[-1] + increment)
         self.selected.append(winner)
         self._taken[winner] = True
@@ -339,8 +352,9 @@ class GreedyState:
         # (2 vCPUs, OpenBLAS 0.3.31, min of 7): phi @ [u1, u2] took 1.73x
         # the time of the two gemvs at 5000 x 500 and 1.57x at 10000 x 100,
         # [u1, u2]^T @ phi^T 1.20x and 1.38x
-        c1 = self.phi @ u1
-        c2 = self.phi @ u2
+        c1, c2 = self._c
+        np.matmul(self.phi, u1, out=c1)
+        np.matmul(self.phi, u2, out=c2)
         tmp = self._scratch
         np.multiply(c1, kappa, out=tmp)
         tmp -= c2
@@ -355,18 +369,22 @@ class GreedyState:
         h_j = self.chosen_h
         phi_j, root = self.phi[self.selected[-1]], math.sqrt(h_j)
         basis = self._basis[:t]
-        w = basis @ phi_j
-        z = self._g[:t, :t] @ w
+        wz = self._wz[:, :t]
+        w, z = wz
+        np.matmul(basis, phi_j, out=w)
+        np.matmul(self._g[:t, :t], w, out=z)
         corner = (1.0 + float(w @ z)) / h_j
         # B^T w and B^T z in one product, which at t = 250, K = 500 takes
         # 0.68 of the time of two (2 vCPUs, OpenBLAS 0.3.31)
-        bw, bz = np.stack((w, z)) @ basis
+        bw, bz = np.matmul(wz, basis, out=self._bwz)
         u1 = self._basis[t]
         np.subtract(phi_j, bw, out=u1)
         u1 /= root
-        self._g[t, :t] = self._g[:t, t] = z / -root
+        np.divide(z, -root, out=self._g[t, :t])
+        self._g[:t, t] = self._g[t, :t]
         self._g[t, t] = corner
-        return u1, bz * (2.0 / root), corner
+        bz *= 2.0 / root
+        return u1, bz, corner
 
     def _switch(self):
         """Rebuild Ninv, a and b from the selected rows at depth K; drop B and G."""
@@ -408,7 +426,29 @@ def fmbs_select(phi, m, mu):
     return PlacementResult(list(state.selected), list(state.objective_trace), times, "fmbs")
 
 
-def _extension_traces(phi, base, candidates, mu):
+class _StackBuffers:
+    """The buffers _extension_traces fills, allocated once per run.
+
+    rows holds one block of gathered candidate rows (at most N of them, at
+    least one).  The stack of candidate matrices grows on demand to the
+    largest stack a call needs: the old buffer is dropped before the new
+    one is allocated, so a run holds at most one of each.
+    """
+
+    def __init__(self, n, k):
+        self.rows = np.empty((min(n, max(1, _BLOCK_ENTRIES // k)), k))
+        self._stack = np.empty(0)
+
+    def stack(self, batch, side):
+        """A C-contiguous (batch, side, side) view of the stack buffer."""
+        size = batch * side * side
+        if self._stack.size < size:
+            self._stack = None
+            self._stack = np.empty(size)
+        return self._stack[:size].reshape(batch, side, side)
+
+
+def _extension_traces(phi, base, candidates, mu, buffers):
     """Trace scores of the row set base + [i] for every candidate row i.
 
     With t = len(base) and A = phi[base], while t + 1 <= K each score is
@@ -421,9 +461,10 @@ def _extension_traces(phi, base, candidates, mu):
     counting max(side^2, K) per candidate so that the gathered candidate
     rows fit in a block as well as the stack (one candidate per stack once
     a single matrix is larger), and each stack is factored by one
-    trace_inverse call.  Neither a candidate's matrix nor its trace
-    depends on the stack it falls in, so its score is bitwise the same
-    for any stack size.
+    trace_inverse call.  Rows and stacks are written in place into the
+    run's _StackBuffers, so a run allocates them once, not once per call.
+    Neither a candidate's matrix nor its trace depends on the stack it
+    falls in, so its score is bitwise the same for any stack size.
     """
     t, k = len(base), phi.shape[1]
     a = phi[base]
@@ -431,18 +472,17 @@ def _extension_traces(phi, base, candidates, mu):
     batch = min(candidates.size, max(1, _BLOCK_ENTRIES // max(side**2, k)))
     # every matrix of a stack shares the part fixed by base; only the
     # candidate's own terms change from one to the next
-    q = np.empty((batch, side, side))
+    q = buffers.stack(batch, side)
     if t + 1 <= k:
         q[:, :t, :t] = shifted_gram(a.T, mu)
     else:
         normal = shifted_gram(a, mu)
-    gathered = np.empty((batch, k))
     vals = np.empty(candidates.size)
     for lo in range(0, candidates.size, batch):
         # gathered in place; mode="clip" (the indices are in range) because
         # the default mode="raise" copies through a second buffer
         chunk = candidates[lo : lo + batch]
-        rows = np.take(phi, chunk, axis=0, out=gathered[: chunk.size], mode="clip")
+        rows = np.take(phi, chunk, axis=0, out=buffers.rows[: chunk.size], mode="clip")
         stack = q[: rows.shape[0]]
         if t + 1 <= k:
             # one vector-matrix product per candidate, so a candidate's
@@ -452,7 +492,10 @@ def _extension_traces(phi, base, candidates, mu):
             stack[:, t, :t] = border
             stack[:, t, t] = np.einsum("ij,ij->i", rows, rows) + mu
         else:
-            np.multiply(rows[:, :, None], rows[:, None, :], out=stack)
+            # one product per entry, so bitwise the broadcast multiply, in
+            # about half its time: 17 against 33 us at 81 x 20, 22 against
+            # 41 at 327 x 10 (numpy 2.4, 2 vCPUs)
+            np.einsum("bi,bj->bij", rows, rows, out=stack)
             stack += normal
         vals[lo : lo + rows.shape[0]] = trace_inverse(stack)
     return vals
@@ -488,11 +531,12 @@ def direct_greedy_select(phi, m, mu):
     selected = [first]
     trace = [1.0 / float(q_diag[first])]
     candidates = np.delete(np.arange(n), first)
+    buffers = _StackBuffers(n, k)
     times = [time.perf_counter_ns() - start]
     while len(selected) < m:
         start = time.perf_counter_ns()
         t = len(selected)
-        vals = _extension_traces(phi, selected, candidates, mu)
+        vals = _extension_traces(phi, selected, candidates, mu, buffers)
         best = _pick(vals)
         selected.append(int(candidates[best]))
         candidates = np.delete(candidates, best)
@@ -524,17 +568,19 @@ def exhaustive_select(phi, m, mu):
     if total > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"C({n},{m}) = {total} subsets exceeds the limit {EXHAUSTIVE_LIMIT}")
     best_val, best = math.inf, None
+    buffers = _StackBuffers(n, k)
     # prefixes in lexicographic order, each followed by its last rows in
     # ascending order, enumerate the m-subsets lexicographically
     for prefix in itertools.combinations(range(n - 1), m - 1):
         last = np.arange(prefix[-1] + 1 if prefix else 0, n)
-        vals = _extension_traces(phi, list(prefix), last, mu)
+        vals = _extension_traces(phi, list(prefix), last, mu, buffers)
         j = _pick(vals)
         if vals[j] < best_val * (1.0 - _TIE):
             best_val = float(vals[j])
             best = prefix + (int(last[j]),)
     indices = list(best)
-    trace = [_trace_entry(_extension_traces(phi, indices[:t], np.array(indices[t : t + 1]), mu)[0], t, k, mu)
+    trace = [_trace_entry(_extension_traces(phi, indices[:t], np.array(indices[t : t + 1]), mu, buffers)[0],
+                          t, k, mu)
              for t in range(m)]
     return PlacementResult(indices, trace, [], "exhaustive")
 

@@ -9,6 +9,7 @@ import fmbs
 from fmbs import (
     DegenerateSchur,
     DimensionError,
+    InvalidParameter,
     NonFiniteInput,
     NotPositiveDefinite,
     block_inverse_update,
@@ -17,7 +18,7 @@ from fmbs import (
     schur_threshold,
     trace_inverse,
 )
-from fmbs.linalg import _ROW_BLOCK, as_matrix, as_vector, cholesky, invert_lower
+from fmbs.linalg import _ROW_BLOCK, as_count, as_matrix, as_seed, as_vector, cholesky, invert_lower
 
 # sides around the row blocks of invert_lower's triangular inverse: one
 # sweep (up to _ROW_BLOCK = 32, with 8, 9, 16 and 17 between), two, three
@@ -180,6 +181,20 @@ def test_block_inverse_update_shape_checks():
         block_inverse_update(np.eye(2), [1.0], 1.0)
     with pytest.raises(DimensionError, match="must be square"):
         block_inverse_update(np.ones((2, 3)), [1.0, 1.0], 1.0)
+
+
+def test_fractional_seed_is_refused_not_truncated():
+    # 1.9 was taken as seed 1; an integral float or numpy int still passes
+    with pytest.raises(InvalidParameter, match="got 1.9"):
+        as_seed(1.9)
+    assert as_seed(2.0) == 2 and type(as_seed(np.int64(3))) is int
+
+
+def test_fractional_count_is_refused_not_truncated():
+    # 2.7 trials were taken as 2; an integral float or numpy int still passes
+    with pytest.raises(InvalidParameter, match="trials must be an integer"):
+        as_count(2.7, "trials")
+    assert as_count(4.0, "trials") == 4 and type(as_count(np.uint8(5), "trials")) is int
 
 
 def test_schur_threshold():

@@ -217,6 +217,16 @@ def test_fmbs_budget_validation():
         fmbs_select(PHI3, 2, -1.0)
 
 
+@pytest.mark.parametrize("select", [fmbs_select, direct_greedy_select, exhaustive_select])
+def test_fractional_budget_is_refused_not_truncated(select):
+    # a budget of 2.7 returned 2 rows; an integral float or numpy int still passes
+    with pytest.raises(BudgetError, match="got 2.7"):
+        select(PHI3, 2.7, MU)
+    assert select(PHI3, 2.0, MU).indices == select(PHI3, np.int64(2), MU).indices == [0, 1]
+    with pytest.raises(BudgetError, match="got 2.7"):
+        random_select(3, 2.7, 0)
+
+
 def test_direct_greedy_worked_example():
     result = direct_greedy_select(PHI3, 2, MU)
     assert result.indices == [0, 1]
@@ -228,9 +238,11 @@ def test_direct_greedy_identity():
 
 
 @pytest.mark.parametrize("entries", [1, 2**24])
-def test_direct_greedy_stack_size_invisible(monkeypatch, entries):
+def test_direct_greedy_stack_size_invisible(monkeypatch, traced_peak, entries):
     # one candidate per stack and every candidate in one stack both give
-    # the default run's picks and traces, before and past depth K
+    # the default run's picks and traces bitwise, before and past depth K;
+    # the run's buffers hold what its stacks need (1.6 KB of rows here),
+    # never a whole block of 2**24 entries
     import fmbs.placement as placement
 
     phi = np.random.default_rng(21).standard_normal((40, 5))
@@ -238,8 +250,42 @@ def test_direct_greedy_stack_size_invisible(monkeypatch, entries):
     monkeypatch.setattr(placement, "_BLOCK_ENTRIES", entries)
     stacked = direct_greedy_select(phi, 12, MU)
     assert stacked.indices == baseline.indices
-    for a, b in zip(stacked.objective_trace, baseline.objective_trace):
-        assert abs(a - b) <= 1e-12 * abs(b)
+    assert stacked.objective_trace == baseline.objective_trace
+    assert traced_peak(lambda: direct_greedy_select(phi, 12, MU)) <= 100_000
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "negative-zero"])
+def test_stack_scores_equal_single_matrix_traces(kind):
+    # every stacked score, bordered and K space, is == trace_inverse of the
+    # candidate's matrix built alone, the K-space one with np.outer; -0.0
+    # entries change no product's bits
+    from fmbs.linalg import shifted_gram, trace_inverse
+    from fmbs.placement import _StackBuffers, _extension_traces
+
+    n, k = 60, 20
+    rng = np.random.default_rng(41)
+    if kind == "bernoulli":
+        phi = generate(ModelSpec(Model.BERNOULLI, n, k, 41))
+    else:
+        phi = rng.standard_normal((n, k))
+        if kind == "negative-zero":
+            phi[rng.random((n, k)) < 0.3] = -0.0
+    buffers = _StackBuffers(n, k)
+    for t in (1, 2, k - 1, k, k + 3):
+        base = list(range(0, 2 * t, 2))
+        candidates = np.setdiff1d(np.arange(n), base)
+        vals = _extension_traces(phi, base, candidates, MU, buffers)
+        a = phi[base]
+        for i, val in zip(candidates, vals):
+            row = phi[i]
+            if t + 1 <= k:
+                q = np.empty((t + 1, t + 1))
+                q[:t, :t] = shifted_gram(a.T, MU)
+                q[:t, t] = q[t, :t] = row @ a.T
+                q[t, t] = np.einsum("i,i->", row, row) + MU
+            else:
+                q = shifted_gram(a, MU) + np.outer(row, row)
+            assert val == trace_inverse(q), (t, i)
 
 
 @pytest.mark.parametrize("entries", [1, 2**24])
