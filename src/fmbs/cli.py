@@ -17,15 +17,20 @@ unreadable or unwritable path, an OSError, and main() exits 2 for either.
 main() is the one place that turns an error into an exit code; it prints
 one ``error: <name>: <message>`` line to stderr.  Before any handler runs,
 main() checks --mu, --sigma2, --seed, --trials and --repeats by the
-library's own rules (linalg's as_shift, as_variance, as_seed, as_count);
-the (0, 1] range of --fraction is the one rule only the CLI states.  Every
-output path is checked before any matrix is loaded or drawn, so a missing
-or unwritable directory exits 2 at once, with no output.
+library's own rules (linalg's as_shift, as_variance, as_seed, as_count).
+The CLI states no numeric rule of its own: a bad budget or sweep point is
+refused by the library where it is used (the selector's BudgetError, or
+PlacementResult.prefix's for a bench budget cut from a greedy run, for a
+budget outside [1, n]; expected_mse's DimensionError for a bench budget
+below k; ModelSpec's InvalidSpec for a k above n), before any result is
+written.
+Every output path is checked before any matrix is loaded or drawn, so a
+missing or unwritable directory exits 2 at once, with no output.
 
 Timing covers selection only, never matrix generation, MSE evaluation or
 I/O.  ``bench`` runs each greedy method (fmbs, greedy-direct) once per trial
 to the largest budget and reports, for every budget m, the first m picks and
-the cumulative step time of that shared run; random and exhaustive are run
+the cumulative step time of that shared run (PlacementResult.prefix); random and exhaustive are run
 and timed once per budget.  Result files are byte-identical across reruns
 with the same flags and seed, except for the timing columns/fields.
 """
@@ -41,7 +46,7 @@ import time
 
 import numpy as np
 
-from .errors import BudgetError, FmbsError, InputError, InvalidParameter, InvalidSpec
+from .errors import FmbsError, InputError, InvalidSpec
 from .inverse import expected_mse
 from .linalg import as_count, as_seed, as_shift, as_variance
 from .matgen import Model, ModelSpec, generate
@@ -59,8 +64,13 @@ _FLAG_RULES = {"mu": as_shift, "sigma2": as_variance, "seed": as_seed,
 
 
 def _child_seed(*key):
-    """Stable derived seed for one (namespace, trial, ...) tuple."""
-    return int(np.random.SeedSequence(key).generate_state(1)[0])
+    """Stable derived seed for one (namespace, trial, ...) tuple.
+
+    SeedSequence takes nonnegative words only, so a negative part, a budget
+    or sweep point the library refuses where it uses it, is keyed by its
+    magnitude instead of raising a bare ValueError before that refusal.
+    """
+    return int(np.random.SeedSequence([abs(v) for v in key]).generate_state(1)[0])
 
 
 def _parse_budgets(text):
@@ -155,9 +165,6 @@ def _cmd_bench(args):
         base, ext = os.path.splitext(args.out)
         agg_path = f"{base}.agg{ext or '.csv'}"
     _check_writable(args.out, agg_path, args.details_out)
-    for m in args.budgets:
-        if not args.k <= m <= args.n:
-            raise BudgetError(f"every budget must satisfy k <= m <= n, got m={m}")
 
     results = []
     for trial in range(args.trials):
@@ -166,10 +173,7 @@ def _cmd_bench(args):
         for method in args.methods:
             if method in _NESTED_METHODS:
                 result = _select(method, phi, max(args.budgets), args.mu, None)
-                runs = [
-                    (m, result.indices[:m], sum(result.step_times_ns[:m]) / 1e9)
-                    for m in args.budgets
-                ]
+                runs = [(m, *result.prefix(m)) for m in args.budgets]
             else:
                 runs = []
                 for m in args.budgets:
@@ -227,21 +231,16 @@ def _cmd_bench(args):
 
 
 def _cmd_scaling(args):
-    if not 0.0 < args.fraction <= 1.0:
-        raise InvalidParameter(f"--fraction must be in (0, 1], got {args.fraction}")
     _check_writable(args.out)
     if args.sweep == "m":
         if args.n is None:
             raise InvalidSpec("--sweep m requires --n")
         sizes = [(args.n, m) for m in args.values]
     else:
-        sizes = [(n, args.m if args.m is not None else max(1, round(args.fraction * n)))
-                 for n in args.values]
-    # every point takes k from --k when it is given and from its budget otherwise
+        sizes = [(n, max(1, round(0.1 * n))) for n in args.values]
+    # every point takes k from --k when it is given and from its budget
+    # otherwise; ModelSpec refuses a k above n, the selector an m above n
     points = [(n, m if args.k is None else args.k, m) for n, m in sizes]
-    for n, k, m in points:
-        if not 1 <= k <= n or not k <= m <= n:
-            raise BudgetError(f"sweep point n={n}, k={k}, m={m} violates 1 <= k <= m <= n")
 
     # repeats are interleaved across points (and every point gets one untimed
     # warm-up) so transient machine load distorts ratios between points less
@@ -334,16 +333,12 @@ def build_parser():
 
     scaling = sub.add_parser("scaling", help="selection wall-time sweep, CSV + slope report")
     scaling.add_argument("--sweep", required=True, choices=("m", "n"),
-                         help="sweep the budget at fixed n, or the field size n")
+                         help="sweep the budget at fixed n, or the field size n at budget n/10")
     scaling.add_argument("--values", type=_parse_budgets, required=True,
                          help="swept values as A:B:STEP or a single integer")
     scaling.add_argument("--n", type=int, default=None, help="fixed field size for --sweep m")
-    scaling.add_argument("--m", type=int, default=None,
-                         help="fixed budget for --sweep n (default: fraction of n)")
     scaling.add_argument("--k", type=int, default=None,
                          help="parameter count (default: matches the budget)")
-    scaling.add_argument("--fraction", type=float, default=0.1,
-                         help="budget fraction of n for --sweep n without --m (default 0.1)")
     scaling.add_argument("--method", default="fmbs", choices=METHODS)
     scaling.add_argument("--mu", type=float, default=1e-4)
     _add_common_seed(scaling)

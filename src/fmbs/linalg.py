@@ -12,6 +12,9 @@ matrix, a vector and a sample set into arrays, and ``as_shift``,
 noise variance sigma2 >= 0, a random seed >= 0 and a count >= 1 into a
 float or an int, or each raises a named error; these are the package's
 only statements of those rules, which the CLI runs on its flags too.
+``is_integral`` is the one integrality test: every count, seed, budget,
+size and index is checked with it, so 2.7, NaN and inf are refused by
+each one's own named error, not truncated or raised as a bare ValueError.
 ``sample_rows`` checks a matrix and a sample set against it and gathers
 the selected rows.  Transient memory: ``_BLOCK_ENTRIES`` is the one block
 that sizes every blocked loop of the package.  The kernels:
@@ -163,13 +166,21 @@ def as_variance(sigma2):
     return float(sigma2)
 
 
+def is_integral(x):
+    """Whether x is a whole number: an int, a numpy integer or an integral float."""
+    try:
+        return int(x) == x
+    except (ValueError, OverflowError):  # NaN, inf
+        return False
+
+
 def as_seed(seed):
     """Coerce to a nonnegative int random seed, or raise InvalidParameter.
 
     An integral float or a numpy integer is accepted; 1.9 is refused, not
     truncated.
     """
-    if int(seed) != seed or seed < 0:
+    if not is_integral(seed) or seed < 0:
         raise InvalidParameter(f"seed must be a nonnegative integer, got {seed}")
     return int(seed)
 
@@ -180,7 +191,7 @@ def as_count(n, what):
     An integral float or a numpy integer is accepted; 2.7 is refused, not
     truncated.
     """
-    if int(n) != n or n < 1:
+    if not is_integral(n) or n < 1:
         raise InvalidParameter(f"{what} must be an integer of at least 1, got {n}")
     return int(n)
 

@@ -6,7 +6,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import InvalidSpec
-from .linalg import as_seed
+from .linalg import as_seed, is_integral
 
 
 class Model(IntEnum):
@@ -30,8 +30,10 @@ class ModelSpec:
             object.__setattr__(self, "model", Model(self.model))
         except ValueError:
             raise InvalidSpec(f"unknown model id {self.model!r}") from None
-        if self.k < 1 or self.n < self.k:
-            raise InvalidSpec(f"need n >= k >= 1, got n={self.n}, k={self.k}")
+        if not is_integral(self.n) or not is_integral(self.k) or not 1 <= self.k <= self.n:
+            raise InvalidSpec(f"need integers n >= k >= 1, got n={self.n}, k={self.k}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "seed", as_seed(self.seed))
 
 

@@ -79,7 +79,12 @@ def _load_binary(fh, head, path):
     if size is None or size == expected:
         # read into the result itself: the file's bytes are never held as
         # well, and a view of them at offset _HEADER.size would be unaligned
-        out = np.empty((rows, cols), dtype="<f8")
+        try:
+            out = np.empty((rows, cols), dtype="<f8")
+        except (ValueError, MemoryError):
+            if size is not None:  # a regular file of that size is well formed
+                raise
+            raise ParseError(f"{path}: cannot allocate a {rows}x{cols} matrix") from None
         size = _HEADER.size + fh.readinto(out) + len(fh.read())
     if size != expected:
         raise ParseError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}")

@@ -71,8 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, InvalidParameter, InvalidSampleSet, NonFiniteInput, TooLarge
-from .linalg import (_BLOCK_ENTRIES, as_matrix, as_seed, as_shift, cholesky, invert_lower, sample_rows,
-                     schur_threshold, shifted_gram, spd_solve, trace_inverse)
+from .linalg import (_BLOCK_ENTRIES, as_count, as_matrix, as_seed, as_shift, cholesky, invert_lower,
+                     is_integral, sample_rows, schur_threshold, shifted_gram, spd_solve, trace_inverse)
 
 EXHAUSTIVE_LIMIT = 1_000_000
 
@@ -106,7 +106,7 @@ def _pick(score, offset=0.0):
 
 def _check_budget(m, n):
     """The budget m as an int in [1, n]; a non-integral m raises, not truncates."""
-    if int(m) != m or not 1 <= m <= n:
+    if not is_integral(m) or not 1 <= m <= n:
         raise BudgetError(f"budget must be an integer in [1, {n}], got {m}")
     return int(m)
 
@@ -173,6 +173,16 @@ class PlacementResult:
     objective_trace: list
     step_times_ns: list
     method: str
+
+    def prefix(self, m):
+        """The first m picks of a greedy run and the seconds their steps took.
+
+        The greedy methods are nested, so these are the picks, and the step
+        times, of a run at budget m; an m outside [1, len(indices)] raises
+        BudgetError.
+        """
+        m = _check_budget(m, len(self.indices))
+        return self.indices[:m], sum(self.step_times_ns[:m]) / 1e9
 
 
 class GreedyState:
@@ -303,9 +313,9 @@ class GreedyState:
 
     def candidate_state(self, i):
         """Committed warm-start data for candidate i at the current depth."""
-        i = int(i)
-        if not (0 <= i < self.phi.shape[0]) or self._taken[i]:
+        if not is_integral(i) or not 0 <= i < self.phi.shape[0] or self._taken[int(i)]:
             raise InvalidSampleSet(f"{i} is not an unselected candidate")
+        i = int(i)
         if self.depth == 0:
             raise InvalidSampleSet("no committed candidate data before the first step")
         p, r = self._border_solve(i)
@@ -587,7 +597,7 @@ def exhaustive_select(phi, m, mu):
 
 def random_select(n, m, seed):
     """Draw m distinct indices uniformly without replacement; fixed per seed."""
-    n = int(n)
+    n = as_count(n, "rows")
     m = _check_budget(m, n)
     idx = np.random.default_rng(as_seed(seed)).choice(n, size=m, replace=False)
     return PlacementResult([int(i) for i in idx], [], [], "random")

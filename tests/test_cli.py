@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -8,7 +11,7 @@ import pytest
 
 import fmbs
 from fmbs import Model, ModelSpec, expected_mse, generate, load_matrix, save_matrix
-from fmbs.cli import main
+from fmbs.cli import build_parser, main
 
 PHI3 = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 # --mu values every subcommand must refuse with exit 2
@@ -331,12 +334,24 @@ def test_bench_determinism_modulo_seconds(tmp_path):
     assert strip_last_column(tmp_path / "a.agg.csv") == strip_last_column(tmp_path / "b.agg.csv")
 
 
-def test_bench_validation_exit_2(tmp_path):
+def assert_refused(capsys, argv, error):
+    """argv exits 2 naming error, with nothing printed to stdout."""
+    assert run_cli(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {error}: "), argv
+
+
+def test_bench_validation_exit_2(capsys, tmp_path):
     out = str(tmp_path / "x.csv")
     base = ["bench", "--model", "1", "--n", "20", "--k", "3", "--trials", "1",
             "--methods", "fmbs", "--out", out]
-    assert run_cli(base + ["--budgets", "2:10:2"]) == 2  # budget below k
-    assert run_cli(base + ["--budgets", "3:30:3"]) == 2  # budget above n
+    # the library refuses a bad budget where it uses it, before any result
+    # is written: expected_mse one below k, the selector one above n, and
+    # PlacementResult.prefix one below 1 cut from the shared greedy run
+    for methods in ("fmbs", "random"):
+        for budgets, error in (("2:10:2", "DimensionError"), ("3:30:3", "BudgetError"),
+                               ("-2:8:5", "BudgetError")):
+            assert_refused(capsys, base + ["--methods", methods, f"--budgets={budgets}"], error)
     assert run_cli(base + ["--budgets", "oops"]) == 2
     assert run_cli(base + ["--budgets", "5:3:1"]) == 2  # descending range
     assert run_cli(base + ["--budgets", "3:5:0"]) == 2  # zero step
@@ -390,7 +405,7 @@ def test_scaling_n_sweep_cubic_bound(tmp_path):
     # cubic growth (8x) plus 50% slack
     out = tmp_path / "scale_n.csv"
     code = run_cli(["scaling", "--sweep", "n", "--values", "2000:4000:2000",
-                    "--fraction", "0.1", "--repeats", "4", "--seed", "3", "--out", str(out)])
+                    "--repeats", "4", "--seed", "3", "--out", str(out)])
     assert code == 0
     best = {}
     for line in out.read_text().strip().splitlines()[1:]:
@@ -409,18 +424,64 @@ def test_scaling_n_sweep_honours_k(tmp_path):
     assert ks == {"3"}
 
 
-def test_scaling_validation(tmp_path):
+def test_scaling_validation(capsys, tmp_path):
     out = str(tmp_path / "x.csv")
-    assert run_cli(["scaling", "--sweep", "m", "--values", "2:4:2", "--out", out]) == 2  # no --n
-    assert run_cli(["scaling", "--sweep", "m", "--n", "10", "--values", "8:20:4",
-                    "--out", out]) == 2  # m exceeds n
+    assert_refused(capsys, ["scaling", "--sweep", "m", "--values", "2:4:2", "--out", out],
+                   "InvalidSpec")  # no --n
+    assert_refused(capsys, ["scaling", "--sweep", "m", "--n", "10", "--values", "8:20:4",
+                            "--out", out], "InvalidSpec")  # m exceeds n, and k = m with it
+    assert_refused(capsys, ["scaling", "--sweep", "m", "--n", "10", "--k", "3",
+                            "--values", "8:20:4", "--out", out], "BudgetError")  # m exceeds n
+    # negative points are refused by name too, not by the seed derivation
+    assert_refused(capsys, ["scaling", "--sweep", "m", "--n", "10", "--k", "3",
+                            "--values=-2:5:1", "--out", out], "BudgetError")
+    assert_refused(capsys, ["scaling", "--sweep", "n", "--k", "-3", "--values", "20",
+                            "--out", out], "InvalidSpec")
     for bad in BAD_MU:
         assert run_cli(["scaling", "--sweep", "m", "--n", "20", "--values", "3",
                         "--repeats", "1", "--mu", bad, "--out", out]) == 2
-    for bad in ("nan", "-1", "0", "1.5", "inf"):
-        assert run_cli(["scaling", "--sweep", "n", "--values", "20", "--fraction", bad,
-                        "--repeats", "1", "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_scaling_n_sweep_points(tmp_path):
+    # the n-sweep budget is max(1, round(n/10)), and k follows it
+    out = tmp_path / "scale_n.csv"
+    assert run_cli(["scaling", "--sweep", "n", "--values", "20:60:10", "--repeats", "1",
+                    "--out", str(out)]) == 0
+    points = [tuple(int(v) for v in line.split(",")[1:4])
+              for line in out.read_text().strip().splitlines()[1:]]
+    assert points == [(20, 2, 2), (30, 3, 3), (40, 4, 4), (50, 5, 5), (60, 6, 6)]
+
+
+def test_scaling_k_above_n_exits_2(capsys, tmp_path):
+    # ModelSpec refuses the first point's k = 30 above n = 20 before any timing
+    out = tmp_path / "x.csv"
+    assert_refused(capsys, ["scaling", "--sweep", "n", "--values", "20:40:10", "--k", "30",
+                            "--repeats", "1", "--out", str(out)], "InvalidSpec")
+    assert not out.exists()
+
+
+def test_scaling_removed_flags_are_refused(capsys, tmp_path):
+    # the n-sweep budget is fixed at one tenth of n; --fraction and --m are gone
+    for flag, value in (("--fraction", "0.1"), ("--m", "5")):
+        assert run_cli(["scaling", "--sweep", "n", "--values", "20", flag, value,
+                        "--out", str(tmp_path / "x.csv")]) == 2
+        # argparse names the flag: unrecognized, or for --m an ambiguous prefix
+        assert re.search(f"error: .*{flag}", capsys.readouterr().err), flag
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_commands_parse():
+    # every fmbs command in the README's code blocks parses with today's flags
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("fmbs "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    assert {argv[0] for argv in commands} == {"gen", "place", "bench", "scaling"}
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_help_and_missing_subcommand():

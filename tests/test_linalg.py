@@ -18,7 +18,8 @@ from fmbs import (
     schur_threshold,
     trace_inverse,
 )
-from fmbs.linalg import _ROW_BLOCK, as_count, as_matrix, as_seed, as_vector, cholesky, invert_lower
+from fmbs.linalg import (_ROW_BLOCK, as_count, as_matrix, as_seed, as_vector, cholesky, invert_lower,
+                         is_integral)
 
 # sides around the row blocks of invert_lower's triangular inverse: one
 # sweep (up to _ROW_BLOCK = 32, with 8, 9, 16 and 17 between), two, three
@@ -195,6 +196,13 @@ def test_fractional_count_is_refused_not_truncated():
     with pytest.raises(InvalidParameter, match="trials must be an integer"):
         as_count(2.7, "trials")
     assert as_count(4.0, "trials") == 4 and type(as_count(np.uint8(5), "trials")) is int
+
+
+def test_is_integral():
+    # the one integrality test: NaN and inf are not whole, and raise nothing
+    assert all(is_integral(x) for x in (3, -1, 2.0, np.int64(4), np.float64(1e300), 10**30))
+    assert not any(is_integral(x) for x in (2.7, np.float64(0.5), float("nan"), float("inf"),
+                                            -np.inf, np.float64("nan")))
 
 
 def test_schur_threshold():

@@ -55,3 +55,15 @@ def test_invalid_specs():
         ModelSpec(Model.GAUSSIAN, 3, 0, seed=0)
     with pytest.raises(InvalidSpec):
         ModelSpec(9, 3, 2, seed=0)
+
+
+def test_fractional_sizes_are_refused_not_truncated():
+    # n = 10.5 passed and generate raised a bare TypeError; an integral float
+    # or numpy int still passes and is stored as an int
+    with pytest.raises(InvalidSpec, match="n=10.5"):
+        ModelSpec(Model.GAUSSIAN, 10.5, 2, seed=0)
+    with pytest.raises(InvalidSpec, match="k=2.5"):
+        ModelSpec(Model.GAUSSIAN, 10, 2.5, seed=0)
+    spec = ModelSpec(Model.GAUSSIAN, np.int64(10), 2.0, seed=0)
+    assert (spec.n, spec.k) == (10, 2) and type(spec.n) is type(spec.k) is int
+    assert np.array_equal(generate(spec), generate(ModelSpec(Model.GAUSSIAN, 10, 2, seed=0)))

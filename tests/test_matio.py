@@ -155,3 +155,36 @@ def test_binary_from_pipe(tmp_path):
         finally:
             writer.join()
             fifo.unlink()
+
+
+@pytest.mark.parametrize("rows, cols", [(2**40, 2**40), (10**6, 10**5)])
+def test_binary_pipe_with_oversized_header(tmp_path, rows, cols):
+    # a pipe's size is unknown before the result is allocated, so a header
+    # too large to allocate is refused naming its dimensions (a host that
+    # overcommits 745 GiB names them in the size check instead); only the
+    # header is written, so the writer never meets a closed pipe
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, daemon=True,
+                              args=(_HEADER.pack(MAGIC, BINARY_VERSION, rows, cols),))
+    writer.start()
+    try:
+        with pytest.raises(ParseError, match=f"{rows}x{cols}"):
+            load_matrix(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_regular_file_too_large_to_allocate_is_not_a_parse_error(tmp_path, monkeypatch):
+    # a regular file whose size matches its header is well formed, so failing
+    # to allocate it is the host's limit, not bad input
+    path = tmp_path / "m.bin"
+    save_matrix(path, np.eye(2))
+
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(MemoryError):
+        load_matrix(path)

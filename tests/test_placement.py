@@ -13,6 +13,8 @@ from fmbs import (
     FmbsError,
     GreedyState,
     InvalidParameter,
+    InvalidSampleSet,
+    InvalidSpec,
     Model,
     ModelSpec,
     NonFiniteInput,
@@ -27,6 +29,7 @@ from fmbs import (
     shifted_normal_objective,
     submatrix_objective,
 )
+from fmbs.linalg import as_count, as_seed
 
 MU = 1e-4
 
@@ -225,6 +228,61 @@ def test_fractional_budget_is_refused_not_truncated(select):
     assert select(PHI3, 2.0, MU).indices == select(PHI3, np.int64(2), MU).indices == [0, 1]
     with pytest.raises(BudgetError, match="got 2.7"):
         random_select(3, 2.7, 0)
+
+
+def test_fractional_row_count_is_refused_not_truncated():
+    # random_select(5.7, ...) drew from 5 rows; an integral float or numpy int still passes
+    with pytest.raises(InvalidParameter, match="got 5.7"):
+        random_select(5.7, 2, 0)
+    assert random_select(5.0, 2, 0).indices == random_select(np.int64(5), 2, 0).indices \
+        == random_select(5, 2, 0).indices
+
+
+def test_fractional_candidate_is_refused_not_truncated():
+    # candidate_state(0.7) returned candidate 0's data; an integral float still passes
+    state = GreedyState(PHI3, 2, MU)
+    state.step()
+    with pytest.raises(InvalidSampleSet, match="0.7 is not"):
+        state.candidate_state(0.7)
+    for i in (2.0, np.int64(2)):
+        cand = state.candidate_state(i)
+        assert type(cand.index) is int and cand.cost == state.candidate_state(2).cost
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+def test_non_finite_whole_numbers_raise_named_errors(bad):
+    # int(x) != x raised a bare ValueError for NaN and OverflowError for inf;
+    # every integrality check now refuses them by its own named error
+    state = GreedyState(PHI3, 2, MU)
+    state.step()
+    cases = [
+        (InvalidParameter, lambda: as_count(bad, "trials")),
+        (InvalidParameter, lambda: as_seed(bad)),
+        (BudgetError, lambda: fmbs_select(PHI3, bad, MU)),
+        (BudgetError, lambda: fmbs_select(PHI3, 2, MU).prefix(bad)),
+        (InvalidParameter, lambda: random_select(bad, 2, 0)),
+        (InvalidSpec, lambda: ModelSpec(Model.GAUSSIAN, bad, 2, 0)),
+        (InvalidSpec, lambda: ModelSpec(Model.GAUSSIAN, 10, bad, 0)),
+        (InvalidSampleSet, lambda: state.candidate_state(bad)),
+    ]
+    for error, call in cases:
+        with pytest.raises(error):
+            call()
+
+
+@pytest.mark.parametrize("select", [fmbs_select, direct_greedy_select])
+def test_prefix_is_the_run_at_a_smaller_budget(select):
+    # greedy runs are nested: the first m picks of a run at budget 6 are the
+    # run at budget m, and their seconds the sum of its first m step times
+    phi = generate(ModelSpec(Model.GAUSSIAN, 30, 4, 11))
+    full = select(phi, 6, MU)
+    for m in range(1, 7):
+        indices, seconds = full.prefix(m)
+        assert indices == select(phi, m, MU).indices
+        assert seconds == sum(full.step_times_ns[:m]) / 1e9
+    for bad in (0, -2, 7, 2.5):
+        with pytest.raises(BudgetError, match=f"got {bad}"):
+            full.prefix(bad)
 
 
 def test_direct_greedy_worked_example():
