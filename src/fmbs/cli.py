@@ -94,13 +94,17 @@ def _parse_methods(text):
 
 
 def _select(method, phi, m, mu, seed):
+    """(result, seconds) of one selection, timed alone: the one timer of the CLI."""
+    start = time.perf_counter()
     if method == "fmbs":
-        return fmbs_select(phi, m, mu)
-    if method == "greedy-direct":
-        return direct_greedy_select(phi, m, mu)
-    if method == "exhaustive":
-        return exhaustive_select(phi, m, mu)
-    return random_select(phi.shape[0], m, seed)
+        result = fmbs_select(phi, m, mu)
+    elif method == "greedy-direct":
+        result = direct_greedy_select(phi, m, mu)
+    elif method == "exhaustive":
+        result = exhaustive_select(phi, m, mu)
+    else:
+        result = random_select(phi.shape[0], m, seed)
+    return result, time.perf_counter() - start
 
 
 def _check_writable(*paths):
@@ -126,7 +130,7 @@ def _write_csv(path, header, rows):
 
 def _cmd_gen(args):
     _check_writable(args.out)
-    spec = ModelSpec(Model(args.model), args.n, args.k, args.seed)
+    spec = ModelSpec(args.model, args.n, args.k, args.seed)
     save_matrix(args.out, generate(spec), fmt=args.format)
     print(f"wrote {args.n}x{args.k} model-{args.model} matrix to {args.out}")
     return 0
@@ -136,9 +140,7 @@ def _cmd_place(args):
     _check_writable(args.out)
     phi = load_matrix(args.matrix)
     n, k = phi.shape
-    start = time.perf_counter()
-    result = _select(args.method, phi, args.budget, args.mu, args.seed)
-    wall = time.perf_counter() - start
+    result, wall = _select(args.method, phi, args.budget, args.mu, args.seed)
     payload = {
         "method": result.method,
         "matrix": str(args.matrix),
@@ -168,19 +170,17 @@ def _cmd_bench(args):
 
     results = []
     for trial in range(args.trials):
-        spec = ModelSpec(Model(args.model), args.n, args.k, _child_seed(args.seed, 0, trial))
-        phi = generate(spec)
+        phi = generate(ModelSpec(args.model, args.n, args.k, _child_seed(args.seed, 0, trial)))
         for method in args.methods:
             if method in _NESTED_METHODS:
-                result = _select(method, phi, max(args.budgets), args.mu, None)
+                result, _ = _select(method, phi, max(args.budgets), args.mu, None)
                 runs = [(m, *result.prefix(m)) for m in args.budgets]
             else:
                 runs = []
                 for m in args.budgets:
                     sampler_seed = _child_seed(args.seed, 1, trial, METHODS.index(method), m)
-                    start = time.perf_counter()
-                    result = _select(method, phi, m, args.mu, sampler_seed)
-                    runs.append((m, result.indices, time.perf_counter() - start))
+                    result, seconds = _select(method, phi, m, args.mu, sampler_seed)
+                    runs.append((m, result.indices, seconds))
             for m, indices, seconds in runs:
                 mse = expected_mse(phi, indices, args.sigma2)
                 results.append((method, m, trial, mse, seconds, indices))
@@ -251,11 +251,9 @@ def _cmd_scaling(args):
     seconds = [[] for _ in points]
     for rep in range(-1, args.repeats):
         for idx, (n, k, m) in enumerate(points):
-            sampler_seed = _child_seed(args.seed, 2, max(rep, 0))
-            start = time.perf_counter()
-            _select(args.method, matrices[idx], m, args.mu, sampler_seed)
+            _, sec = _select(args.method, matrices[idx], m, args.mu, _child_seed(args.seed, 2, max(rep, 0)))
             if rep >= 0:
-                seconds[idx].append(time.perf_counter() - start)
+                seconds[idx].append(sec)
     rows = []
     mins = []
     for idx, (n, k, m) in enumerate(points):
@@ -266,17 +264,12 @@ def _cmd_scaling(args):
 
     _write_csv(args.out, ["sweep", "n", "k", "m", "repeat", "seconds"], rows)
 
-    xs = [m for _, _, m in points] if args.sweep == "m" else [n for n, _, _ in points]
-    if len(set(xs)) > 1 and all(t > 0 for t in mins):
-        slope = float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(mins)), 1)[0])
+    if len(args.values) > 1 and all(t > 0 for t in mins):
+        slope = float(np.polyfit(np.log(np.asarray(args.values, float)), np.log(np.asarray(mins)), 1)[0])
         label = "m at fixed n" if args.sweep == "m" else "n"
         print(f"log-log slope of {args.method} selection time vs {label}: {slope:.3f}")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
-
-
-def _add_common_seed(sub):
-    sub.add_argument("--seed", type=int, default=0, help="non-negative root seed (default 0)")
 
 
 def build_parser():
@@ -285,43 +278,42 @@ def build_parser():
         description="Greedy sensor placement benchmark harness for linear inverse problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag shared by subcommands is stated once, in a parent parser
+    draw = argparse.ArgumentParser(add_help=False)
+    draw.add_argument("--model", type=int, required=True, choices=(1, 2),
+                      help="1 = standard normal entries, 2 = fair coin flips on {0,1}")
+    draw.add_argument("--n", type=int, required=True, help="number of rows (field size)")
+    draw.add_argument("--k", type=int, required=True, help="number of columns (parameters)")
+    shift = argparse.ArgumentParser(add_help=False)
+    shift.add_argument("--mu", type=float, default=1e-4, help="positive objective shift (default 1e-4)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="non-negative root seed (default 0)")
 
-    gen = sub.add_parser("gen", help="write a seeded random measurement matrix")
-    gen.add_argument("--model", type=int, required=True, choices=(1, 2),
-                     help="1 = standard normal entries, 2 = fair coin flips on {0,1}")
-    gen.add_argument("--n", type=int, required=True, help="number of rows (field size)")
-    gen.add_argument("--k", type=int, required=True, help="number of columns (parameters)")
-    _add_common_seed(gen)
+    gen = sub.add_parser("gen", parents=[draw, seed], help="write a seeded random measurement matrix")
     gen.add_argument("--out", required=True, help="output path")
     gen.add_argument("--format", choices=("binary", "csv"), default="binary",
                      help="output format (default binary)")
     gen.set_defaults(handler=_cmd_gen)
 
-    place = sub.add_parser("place", help="run one selection method on a stored matrix")
+    place = sub.add_parser("place", parents=[shift, seed],
+                           help="run one selection method on a stored matrix")
     place.add_argument("--matrix", required=True, help="matrix file (binary or csv)")
     place.add_argument("--budget", type=int, required=True,
                        help="number of rows to select; a least-squares design needs at least "
                             "as many as the matrix has columns (K), and with fmbs a budget far "
                             "below K still reads the whole matrix every step")
-    place.add_argument("--mu", type=float, default=1e-4,
-                       help="positive objective shift (default 1e-4)")
     place.add_argument("--method", required=True, choices=METHODS)
-    _add_common_seed(place)
     place.add_argument("--out", required=True, help="JSON result path")
     place.set_defaults(handler=_cmd_place)
 
-    bench = sub.add_parser("bench", help="MSE-versus-budget sweep, CSV output")
-    bench.add_argument("--model", type=int, required=True, choices=(1, 2))
-    bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--k", type=int, required=True)
+    bench = sub.add_parser("bench", parents=[draw, shift, seed],
+                           help="MSE-versus-budget sweep, CSV output")
     bench.add_argument("--budgets", type=_parse_budgets, required=True,
                        help="A:B:STEP (both ends included when aligned) or a single integer")
     bench.add_argument("--trials", type=int, default=10,
                        help="independent matrix draws per cell (default 10)")
-    bench.add_argument("--mu", type=float, default=1e-4)
     bench.add_argument("--sigma2", type=float, default=1.0,
                        help="noise variance in the recorded MSE (default 1)")
-    _add_common_seed(bench)
     bench.add_argument("--methods", type=_parse_methods, required=True,
                        help=f"comma-separated subset of: {', '.join(METHODS)}")
     bench.add_argument("--out", required=True, help="per-trial CSV path")
@@ -331,7 +323,8 @@ def build_parser():
                        help="optional JSON with the selected indices of every run")
     bench.set_defaults(handler=_cmd_bench)
 
-    scaling = sub.add_parser("scaling", help="selection wall-time sweep, CSV + slope report")
+    scaling = sub.add_parser("scaling", parents=[shift, seed],
+                             help="selection wall-time sweep, CSV + slope report")
     scaling.add_argument("--sweep", required=True, choices=("m", "n"),
                          help="sweep the budget at fixed n, or the field size n at budget n/10")
     scaling.add_argument("--values", type=_parse_budgets, required=True,
@@ -340,8 +333,6 @@ def build_parser():
     scaling.add_argument("--k", type=int, default=None,
                          help="parameter count (default: matches the budget)")
     scaling.add_argument("--method", default="fmbs", choices=METHODS)
-    scaling.add_argument("--mu", type=float, default=1e-4)
-    _add_common_seed(scaling)
     scaling.add_argument("--repeats", type=int, default=3,
                          help="timed repeats per point (default 3)")
     scaling.add_argument("--out", required=True, help="CSV path")

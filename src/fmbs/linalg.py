@@ -12,9 +12,14 @@ matrix, a vector and a sample set into arrays, and ``as_shift``,
 noise variance sigma2 >= 0, a random seed >= 0 and a count >= 1 into a
 float or an int, or each raises a named error; these are the package's
 only statements of those rules, which the CLI runs on its flags too.
-``is_integral`` is the one integrality test: every count, seed, budget,
-size and index is checked with it, so 2.7, NaN and inf are refused by
-each one's own named error, not truncated or raised as a bare ValueError.
+``is_integral`` is the one integrality test of a scalar: every count,
+seed, budget, size and candidate index is checked with it, so 2.7, NaN,
+inf and a value that is not a number, such as None, are refused by each
+one's own named error, not truncated or raised as a bare TypeError or
+ValueError.  ``as_shift`` and ``as_variance`` refuse alike any value
+float() cannot convert.  The indices of a sample set are checked by dtype
+in ``as_sample_set``, which refuses a value that is not iterable, or is
+ragged, with InvalidSampleSet.
 ``sample_rows`` checks a matrix and a sample set against it and gathers
 the selected rows.  Transient memory: ``_BLOCK_ENTRIES`` is the one block
 that sizes every blocked loop of the package.  The kernels:
@@ -140,7 +145,10 @@ def as_vector(x):
 
 def as_sample_set(s, n):
     """Validate a sample set: distinct indices in [0, n), selection order kept."""
-    idx = np.asarray(list(s))
+    try:
+        idx = np.asarray(list(s))
+    except (TypeError, ValueError):  # not iterable, or ragged
+        raise InvalidSampleSet("sample set must be a flat sequence of indices") from None
     if idx.ndim != 1 or idx.size == 0:
         raise InvalidSampleSet("sample set must be a nonempty sequence of indices")
     if not np.issubdtype(idx.dtype, np.integer):
@@ -152,16 +160,24 @@ def as_sample_set(s, n):
     return idx.astype(np.intp, copy=False)
 
 
+def _as_float(x):
+    """float(x), or NaN for a value float() cannot convert, which every range check refuses."""
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return np.nan
+
+
 def as_shift(mu):
     """Coerce to a positive finite float shift mu, or raise InvalidParameter."""
-    if not 0.0 < float(mu) < np.inf:
+    if not 0.0 < _as_float(mu) < np.inf:
         raise InvalidParameter(f"shift mu must be positive and finite, got {mu}")
     return float(mu)
 
 
 def as_variance(sigma2):
     """Coerce to a nonnegative finite float noise variance, or raise InvalidParameter."""
-    if not 0.0 <= float(sigma2) < np.inf:
+    if not 0.0 <= _as_float(sigma2) < np.inf:
         raise InvalidParameter(f"noise variance must be nonnegative and finite, got {sigma2}")
     return float(sigma2)
 
@@ -170,7 +186,7 @@ def is_integral(x):
     """Whether x is a whole number: an int, a numpy integer or an integral float."""
     try:
         return int(x) == x
-    except (ValueError, OverflowError):  # NaN, inf
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
         return False
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -482,6 +483,27 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == {"gen", "place", "bench", "scaling"}
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_shared_flags_read_the_same_in_every_subcommand():
+    # a flag several subcommands take has one type, default, choice set and
+    # non-empty help in all of them; scaling's optional --n and --k, a fixed
+    # size for one sweep, are a different flag and are left out
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    shared = {"--mu": 3, "--seed": 4, "--model": 2, "--n": 2, "--k": 2}
+    seen = {flag: {} for flag in shared}
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for flag in set(action.option_strings) & set(shared):
+                if command == "scaling" and flag in ("--n", "--k"):
+                    continue
+                assert action.help, f"{command} {flag} has no help"
+                seen[flag][command] = (action.type, action.default, action.required, action.choices,
+                                       action.help)
+    assert {flag: len(by_command) for flag, by_command in seen.items()} == shared
+    for flag, by_command in seen.items():
+        assert len(set(by_command.values())) == 1, f"{flag} differs between {sorted(by_command)}"
 
 
 def test_help_and_missing_subcommand():

@@ -17,6 +17,7 @@ from fmbs import (
     InvalidSpec,
     Model,
     ModelSpec,
+    NoiseModel,
     NonFiniteInput,
     TooLarge,
     as_sample_set,
@@ -268,6 +269,27 @@ def test_non_finite_whole_numbers_raise_named_errors(bad):
     for error, call in cases:
         with pytest.raises(error):
             call()
+
+
+@pytest.mark.parametrize("error, call", [
+    (BudgetError, lambda: fmbs_select(PHI3, None, MU)),
+    (InvalidParameter, lambda: fmbs_select(PHI3, 2, None)),
+    (InvalidParameter, lambda: fmbs_select(PHI3, 2, "abc")),
+    (InvalidParameter, lambda: random_select(20, 5, None)),
+    (InvalidParameter, lambda: expected_mse(PHI3, [0, 1], None)),
+    (InvalidParameter, lambda: NoiseModel(None, 0)),
+    (InvalidSpec, lambda: ModelSpec(Model.GAUSSIAN, None, 2, 0)),
+    (InvalidSampleSet, lambda: GreedyState(PHI3, 2, MU).candidate_state(None)),
+    (BudgetError, lambda: fmbs_select(PHI3, 2, MU).prefix(None)),
+    (InvalidSampleSet, lambda: expected_mse(PHI3, None, 1.0)),
+    (InvalidSampleSet, lambda: expected_mse(PHI3, [[0, 1], [2]], 1.0)),
+], ids=["budget", "mu-None", "mu-str", "seed", "sigma2", "noise-sigma2", "spec-n", "candidate",
+        "prefix", "sample-set-None", "sample-set-ragged"])
+def test_non_numbers_raise_named_errors(error, call):
+    # float(None), int(None), list(None) and a ragged array raised a bare
+    # TypeError or ValueError; each check now refuses them by its own name
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("select", [fmbs_select, direct_greedy_select])

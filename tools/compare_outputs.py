@@ -10,12 +10,14 @@ own temporary copy as tools/bench_pairs.py exports them.  Each side runs
 COMMANDS in order with ``python -m fmbs``, from an empty output directory
 of its own and with relative paths, so that later commands read the
 matrices earlier ones wrote: ``gen`` for both models, ``place`` with every
-scoring method on Gaussian and Bernoulli matrices, and ``bench
---details-out`` on both models.  Then every output file, each command's
-standard output and its exit code are compared.  Timing is left out:
-the JSON keys in IGNORED_KEYS and the CSV columns in IGNORED_COLUMNS;
-everything else, every float included, must be equal.  Prints one table
-row per command and exits 1 if any output differs.  Standard library only.
+scoring method on Gaussian and Bernoulli matrices, ``bench --details-out``
+on both models and one ``scaling`` sweep.  Then every output file, each
+command's standard output and its exit code are compared.  Timing is left
+out: the JSON keys in IGNORED_KEYS, the CSV columns in IGNORED_COLUMNS and
+the standard output of the subcommands in TIMED_STDOUT, which prints
+timings; everything else, every float included, must be equal.  Prints
+one table row per command and exits 1 if any output differs.  Standard
+library only.
 """
 
 import argparse
@@ -31,6 +33,7 @@ from bench_pairs import export_revision, export_work_tree, git
 
 IGNORED_KEYS = {"wall_time_seconds", "step_times_ns", "matrix"}
 IGNORED_COLUMNS = {"seconds", "mean_seconds"}
+TIMED_STDOUT = {"scaling"}
 
 COMMANDS = [
     "gen --model 1 --n 500 --k 20 --seed 3 --out gauss.bin",
@@ -42,6 +45,7 @@ COMMANDS = [
     *(f"bench --model {model} --n 120 --k 10 --budgets 10:25:5 --trials 3 --seed 7 "
       f"--methods fmbs,greedy-direct,random --out bench{model}.csv --details-out bench{model}.json"
       for model in (1, 2)),
+    "scaling --sweep m --n 120 --k 10 --values 10:30:10 --repeats 1 --seed 8 --out scaling.csv",
 ]
 
 
@@ -102,7 +106,7 @@ def compare(dirs, runs):
         problems = []
         if parent_run[0] != change_run[0]:
             problems.append(f"exit code {parent_run[0]} != {change_run[0]}")
-        if parent_run[1] != change_run[1]:
+        if command.split()[0] not in TIMED_STDOUT and parent_run[1] != change_run[1]:
             problems.append("stdout differs")
         for name in names:
             paths = [os.path.join(dirs[side], name) for side in ("parent", "change")]
