@@ -10,8 +10,8 @@ Library layers:
   blocked loop is sized by;
 * :mod:`fmbs.placement` -- the fast warm-start greedy sampler plus
   direct-greedy, exhaustive and random baselines and both objectives;
-* :mod:`fmbs.inverse` -- observation model, least-squares recovery,
-  analytic and Monte-Carlo mean-square error;
+* :mod:`fmbs.inverse` -- least-squares recovery and its analytic and
+  Monte-Carlo mean-square error;
 * :mod:`fmbs.matgen` -- seeded random measurement-matrix ensembles;
 * :mod:`fmbs.matio` -- matrix file formats;
 * :mod:`fmbs.cli` -- the ``fmbs`` command-line benchmark harness.
@@ -34,14 +34,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .inverse import (
-    Estimate,
-    NoiseModel,
-    expected_mse,
-    ls_estimate,
-    monte_carlo_mse,
-    observe,
-)
+from .inverse import expected_mse, ls_estimate, monte_carlo_mse
 from .linalg import (
     as_sample_set,
     block_inverse_update,
@@ -70,7 +63,6 @@ __all__ = [
     "CandidateState",
     "DegenerateSchur",
     "DimensionError",
-    "Estimate",
     "FmbsError",
     "GreedyState",
     "InputError",
@@ -79,7 +71,6 @@ __all__ = [
     "InvalidSpec",
     "Model",
     "ModelSpec",
-    "NoiseModel",
     "NonFiniteInput",
     "NotPositiveDefinite",
     "ParseError",
@@ -95,7 +86,6 @@ __all__ = [
     "load_matrix",
     "ls_estimate",
     "monte_carlo_mse",
-    "observe",
     "pseudo_inverse_apply",
     "random_select",
     "save_matrix",

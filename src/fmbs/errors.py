@@ -20,7 +20,7 @@ class DimensionError(InputError):
 
 
 class NonFiniteInput(InputError, ValueError):
-    """A matrix or vector operand holds a NaN or infinite entry."""
+    """A matrix or vector operand holds an entry that is not a finite number."""
 
 
 class NotPositiveDefinite(FmbsError):

@@ -1,13 +1,12 @@
-"""Observation and recovery pipeline for the linear field model f = Phi g.
+"""Least-squares recovery for the linear field model f = Phi g.
 
-Covers noisy partial observation, unbiased least-squares recovery, the
-analytic expected mean-square error of that estimator, and its Monte-Carlo
-validation.  The sampling matrix C of y = C Phi g + n is never formed:
-every path gathers the selected rows of Phi instead.
+Covers unbiased least-squares recovery of g from observations
+y = C Phi g + n, the analytic expected mean-square error of that
+estimator, and its Monte-Carlo validation.  The sampling matrix C is
+never formed: every path gathers the selected rows of Phi instead.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,50 +15,14 @@ from .linalg import (_BLOCK_ENTRIES, as_count, as_seed, as_variance, as_vector, 
                      sample_rows, shifted_gram, trace_inverse)
 
 
-def _check_g(g, k):
-    """Checked ground-truth parameters g, one per column of Phi."""
-    g = as_vector(g)
-    if g.shape[0] != k:
-        raise DimensionError(f"parameter length {g.shape[0]} != column count {k}")
-    return g
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """I.i.d. zero-mean Gaussian observation noise with variance sigma2."""
-
-    sigma2: float
-    seed: int
-
-    def __post_init__(self):
-        as_variance(self.sigma2)
-        object.__setattr__(self, "seed", as_seed(self.seed))
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Recovered parameters g_hat and the implied field f_hat = Phi g_hat."""
-
-    g_hat: np.ndarray
-    f_hat: np.ndarray
-
-
-def observe(phi, g, s, noise):
-    """Noisy partial observation y = (C Phi) g + n; deterministic per seed."""
-    _, a = sample_rows(phi, s)
-    clean = a @ _check_g(g, a.shape[1])
-    return clean + np.random.default_rng(noise.seed).normal(0.0, math.sqrt(noise.sigma2), size=a.shape[0])
-
-
 def ls_estimate(phi, s, y):
-    """Unbiased least-squares recovery from partial observations.
+    """Unbiased least-squares recovery g_hat from partial observations y.
 
+    g_hat is a K-vector for a |S|-vector y, or K x c for a |S| x c y.
     Requires the gathered rows to have full column rank; a rank-deficient
     normal matrix raises NotPositiveDefinite.
     """
-    phi, a = sample_rows(phi, s)
-    g_hat = pseudo_inverse_apply(a, y)
-    return Estimate(g_hat=g_hat, f_hat=phi @ g_hat)
+    return pseudo_inverse_apply(sample_rows(phi, s), y)
 
 
 def expected_mse(phi, s, sigma2):
@@ -68,7 +31,7 @@ def expected_mse(phi, s, sigma2):
     Equals sigma2 times the trace of the inverse normal matrix of the
     gathered rows, i.e. sigma2 * sum_k 1/lambda_k.
     """
-    _, a = sample_rows(phi, s)
+    a = sample_rows(phi, s)
     sigma2 = as_variance(sigma2)
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least {a.shape[1]} samples, got {a.shape[0]}")
@@ -82,8 +45,10 @@ def monte_carlo_mse(phi, s, g, sigma2, trials, seed):
     one block (_BLOCK_ENTRIES draws, |S| per trial), so the value is
     reproducible for a given (seed, trials).
     """
-    _, a = sample_rows(phi, s)
-    g = _check_g(g, a.shape[1])
+    a = sample_rows(phi, s)
+    g = as_vector(g)
+    if g.shape[0] != a.shape[1]:
+        raise DimensionError(f"parameter length {g.shape[0]} != column count {a.shape[1]}")
     sigma2 = as_variance(sigma2)
     trials = as_count(trials, "trials")
     clean = a @ g

@@ -16,8 +16,11 @@ only statements of those rules, which the CLI runs on its flags too.
 seed, budget, size and candidate index is checked with it, so 2.7, NaN,
 inf and a value that is not a number, such as None, are refused by each
 one's own named error, not truncated or raised as a bare TypeError or
-ValueError.  ``as_shift`` and ``as_variance`` refuse alike any value
-float() cannot convert.  The indices of a sample set are checked by dtype
+ValueError.  ``as_shift`` and ``as_variance`` refuse alike a string and
+any value float() cannot convert, and ``as_matrix`` and ``as_vector`` an
+entry that is not a boolean, integer or float, such as "1.5", with
+NonFiniteInput, and a ragged nesting with DimensionError; float64 input
+is not copied.  The indices of a sample set are checked by dtype
 in ``as_sample_set``, which refuses a value that is not iterable, or is
 ragged, with InvalidSampleSet.
 ``sample_rows`` checks a matrix and a sample set against it and gathers
@@ -115,13 +118,30 @@ def _check_finite(a):
     raise NonFiniteInput(f"{where} is {a[pos]}, not finite")
 
 
+def _as_float64(a):
+    """a as a float64 array, not copied when it already is one.
+
+    Raises DimensionError for a ragged nesting and NonFiniteInput for
+    entries that are not numbers: strings, bytes, objects, complex values.
+    Booleans and integers are converted.
+    """
+    try:
+        a = np.asarray(a)
+    except ValueError:  # ragged
+        raise DimensionError("entries do not form a rectangular array") from None
+    if a.dtype.kind not in "biuf":
+        raise NonFiniteInput(f"entries of dtype {a.dtype} are not numbers")
+    return a.astype(np.float64, copy=False)
+
+
 def as_matrix(a):
     """Coerce to a finite 2-d float64 array.
 
-    Raises DimensionError for a wrong shape and NonFiniteInput, naming the
-    first offending position, for a NaN or infinite entry.
+    Raises DimensionError for a ragged nesting or a wrong shape and
+    NonFiniteInput for an entry that is not a finite number, naming the
+    first offending position for a NaN or infinite entry.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_float64(a)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if a.shape[0] == 0 or a.shape[1] == 0:
@@ -133,10 +153,11 @@ def as_matrix(a):
 def as_vector(x):
     """Coerce to a finite 1-d float64 array.
 
-    Raises DimensionError for a wrong shape and NonFiniteInput, naming the
-    first offending index, for a NaN or infinite entry.
+    Raises DimensionError for a ragged nesting or a wrong shape and
+    NonFiniteInput for an entry that is not a finite number, naming the
+    first offending index for a NaN or infinite entry.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x)
     if x.ndim != 1:
         raise DimensionError(f"expected a 1-d vector, got ndim={x.ndim}")
     _check_finite(x)
@@ -161,7 +182,9 @@ def as_sample_set(s, n):
 
 
 def _as_float(x):
-    """float(x), or NaN for a value float() cannot convert, which every range check refuses."""
+    """float(x), or NaN, which every range check refuses, for a string or a value float() cannot convert."""
+    if isinstance(x, (str, bytes)):
+        return np.nan
     try:
         return float(x)
     except (TypeError, ValueError):
@@ -213,13 +236,13 @@ def as_count(n, what):
 
 
 def sample_rows(phi, s):
-    """Checked matrix phi and its rows indexed by the sample set s, in s's order.
+    """The rows of the checked matrix phi indexed by the sample set s, in s's order.
 
-    Returns (phi, rows), raising as as_matrix does for phi and as
-    as_sample_set does for s against phi's row count.
+    Raises as as_matrix does for phi and as as_sample_set does for s
+    against phi's row count.
     """
     phi = as_matrix(phi)
-    return phi, phi[as_sample_set(s, phi.shape[0])]
+    return phi[as_sample_set(s, phi.shape[0])]
 
 
 def schur_threshold(q_ii):

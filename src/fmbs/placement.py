@@ -138,13 +138,13 @@ def shifted_normal_objective(phi, s, mu):
     Equals sum_k 1/(lambda_k + mu) over the eigenvalues lambda_k of the
     K x K gram matrix of the rows of phi indexed by s.
     """
-    _, a = sample_rows(phi, s)
+    a = sample_rows(phi, s)
     return trace_inverse(shifted_gram(a, as_shift(mu)))
 
 
 def submatrix_objective(phi, s, mu):
     """Trace of the inverse principal submatrix of Phi Phi^T + mu I indexed by s."""
-    _, a = sample_rows(phi, s)
+    a = sample_rows(phi, s)
     return trace_inverse(shifted_gram(a.T, as_shift(mu)))
 
 

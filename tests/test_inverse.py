@@ -11,7 +11,6 @@ from fmbs import (
     InvalidSampleSet,
     Model,
     ModelSpec,
-    NoiseModel,
     NonFiniteInput,
     NotPositiveDefinite,
     as_sample_set,
@@ -20,7 +19,6 @@ from fmbs import (
     generate,
     ls_estimate,
     monte_carlo_mse,
-    observe,
     pseudo_inverse_apply,
     random_select,
     save_matrix,
@@ -77,38 +75,9 @@ def test_charpoly_oracle_self_check():
             assert np.allclose(got, ref, rtol=1e-8, atol=1e-10)
 
 
-def test_observe_noiseless():
-    g = np.array([1.5, -2.0])
-    y = observe(PHI3, g, [0, 2], NoiseModel(sigma2=0.0, seed=9))
-    assert np.array_equal(y, PHI3[[0, 2]] @ g)
-
-
-def test_observe_zero_signal():
-    y = observe(PHI3, np.zeros(2), [0, 1], NoiseModel(sigma2=0.0, seed=9))
-    assert np.array_equal(y, np.zeros(2))
-
-
-def test_observe_deterministic_per_seed():
-    g = np.array([1.0, 2.0])
-    noise = NoiseModel(sigma2=0.5, seed=123)
-    a = observe(PHI3, g, [0, 1, 2], noise)
-    b = observe(PHI3, g, [0, 1, 2], noise)
-    assert np.array_equal(a, b)
-    c = observe(PHI3, g, [0, 1, 2], NoiseModel(sigma2=0.5, seed=124))
-    assert not np.array_equal(a, c)
-
-
-def test_observe_validation():
-    with pytest.raises(DimensionError):
-        observe(PHI3, np.zeros(3), [0], NoiseModel(0.0, 0))
-    with pytest.raises(ValueError):
-        NoiseModel(sigma2=-1.0, seed=0)
-
-
 NONFINITE_VECTOR_CALLS = {
     "pseudo_inverse_apply": lambda v: pseudo_inverse_apply(PHI3, v),
     "ls_estimate": lambda v: ls_estimate(PHI3, [0, 1, 2], v),
-    "observe": lambda v: observe(PHI3, v[:2], [0, 1, 2], NoiseModel(0.5, 3)),
     "monte_carlo_mse": lambda v: monte_carlo_mse(PHI3, [0, 1, 2], v[:2], 1.0, trials=10, seed=4),
 }
 
@@ -116,7 +85,7 @@ NONFINITE_VECTOR_CALLS = {
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", sorted(NONFINITE_VECTOR_CALLS))
 def test_nonfinite_vector_rejected(entry, value):
-    # y for the solvers, g for observe and monte_carlo_mse; entry 1 is bad
+    # y for the solvers, g for monte_carlo_mse; entry 1 is bad
     vector = np.array([0.5, value, -1.0])
     with pytest.raises(NonFiniteInput, match="index 1") as excinfo:
         NONFINITE_VECTOR_CALLS[entry](vector)
@@ -124,7 +93,6 @@ def test_nonfinite_vector_rejected(entry, value):
 
 
 SIGMA2_CALLS = {
-    "NoiseModel": lambda v: NoiseModel(v, 0),
     "expected_mse": lambda v: expected_mse(PHI3, [0, 1, 2], v),
     "monte_carlo_mse": lambda v: monte_carlo_mse(PHI3, [0, 1, 2], np.ones(2), v, trials=10, seed=4),
 }
@@ -142,22 +110,26 @@ def test_ls_estimate_noiseless_recovery():
     phi = rng.standard_normal((12, 3))
     g = rng.standard_normal(3)
     s = [0, 3, 5, 7, 11]
-    y = observe(phi, g, s, NoiseModel(sigma2=0.0, seed=0))
-    est = ls_estimate(phi, s, y)
-    assert np.linalg.norm(est.g_hat - g) <= 1e-9
-    assert np.array_equal(est.f_hat, phi @ est.g_hat)
+    g_hat = ls_estimate(phi, s, phi[s] @ g)
+    assert np.linalg.norm(g_hat - g) <= 1e-9
+
+
+def test_ls_estimate_is_pseudo_inverse_apply_on_the_gathered_rows():
+    rng = np.random.default_rng(14)
+    phi = rng.standard_normal((12, 3))
+    s = [11, 0, 5, 7]
+    for y in (rng.standard_normal(4), rng.standard_normal((4, 6))):
+        assert np.array_equal(ls_estimate(phi, s, y), pseudo_inverse_apply(phi[s], y))
 
 
 def test_ls_estimate_identity_model():
     y = np.array([3.0, -1.0, 2.0])
-    est = ls_estimate(np.eye(3), [0, 1, 2], y)
-    assert np.allclose(est.g_hat, y, atol=1e-12)
+    assert np.allclose(ls_estimate(np.eye(3), [0, 1, 2], y), y, atol=1e-12)
 
 
 def test_ls_estimate_consistent_system():
     phi = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    est = ls_estimate(phi, [0, 1, 2], np.array([1.0, 1.0, 2.0]))
-    assert np.allclose(est.g_hat, [1.0, 1.0], atol=1e-12)
+    assert np.allclose(ls_estimate(phi, [0, 1, 2], np.array([1.0, 1.0, 2.0])), [1.0, 1.0], atol=1e-12)
 
 
 def test_expected_mse_identity():
@@ -300,8 +272,7 @@ def test_estimator_unbiased():
     assert np.linalg.norm(mean_err) <= 9.0 * spread
     # the batched solve above matches the library estimator on spot checks
     for j in (0, 17):
-        est = ls_estimate(phi, s, y[j])
-        assert np.allclose(est.g_hat, g_hat[:, j], rtol=1e-10, atol=1e-12)
+        assert np.allclose(ls_estimate(phi, s, y[j]), g_hat[:, j], rtol=1e-10, atol=1e-12)
 
 
 def test_monte_carlo_validation():
@@ -325,11 +296,10 @@ def test_monte_carlo_validation():
     (lambda tmp: GreedyState(PHI3, 3, 1e-4).candidate_state(1), InvalidSampleSet, ValueError),
     (lambda tmp: random_select(10, 3, -1), InvalidParameter, ValueError),
     (lambda tmp: generate(ModelSpec(Model.GAUSSIAN, 10, 3, -1)), InvalidParameter, ValueError),
-    (lambda tmp: observe(PHI3, np.zeros(2), [0, 1], NoiseModel(1.0, -1)), InvalidParameter, ValueError),
     (lambda tmp: monte_carlo_mse(PHI3, [0, 1], np.zeros(2), 1.0, trials=10, seed=-1),
      InvalidParameter, ValueError),
 ], ids=["mu", "index-range", "repeated-index", "sigma2", "trials", "format", "selected-candidate",
-        "candidate-before-first-step", "random-seed", "model-seed", "noise-seed", "monte-carlo-seed"])
+        "candidate-before-first-step", "random-seed", "model-seed", "monte-carlo-seed"])
 def test_boundary_errors_are_named(tmp_path, call, error, builtin):
     # a bad argument raises a named FmbsError that is also the matching
     # builtin, so a handler written for either catches it

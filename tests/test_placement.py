@@ -10,6 +10,7 @@ import pytest
 from fmbs import (
     BudgetError,
     DegenerateSchur,
+    DimensionError,
     FmbsError,
     GreedyState,
     InvalidParameter,
@@ -17,7 +18,6 @@ from fmbs import (
     InvalidSpec,
     Model,
     ModelSpec,
-    NoiseModel,
     NonFiniteInput,
     TooLarge,
     as_sample_set,
@@ -26,6 +26,7 @@ from fmbs import (
     expected_mse,
     fmbs_select,
     generate,
+    pseudo_inverse_apply,
     random_select,
     shifted_normal_objective,
     submatrix_objective,
@@ -277,17 +278,24 @@ def test_non_finite_whole_numbers_raise_named_errors(bad):
     (InvalidParameter, lambda: fmbs_select(PHI3, 2, "abc")),
     (InvalidParameter, lambda: random_select(20, 5, None)),
     (InvalidParameter, lambda: expected_mse(PHI3, [0, 1], None)),
-    (InvalidParameter, lambda: NoiseModel(None, 0)),
     (InvalidSpec, lambda: ModelSpec(Model.GAUSSIAN, None, 2, 0)),
     (InvalidSampleSet, lambda: GreedyState(PHI3, 2, MU).candidate_state(None)),
     (BudgetError, lambda: fmbs_select(PHI3, 2, MU).prefix(None)),
     (InvalidSampleSet, lambda: expected_mse(PHI3, None, 1.0)),
     (InvalidSampleSet, lambda: expected_mse(PHI3, [[0, 1], [2]], 1.0)),
-], ids=["budget", "mu-None", "mu-str", "seed", "sigma2", "noise-sigma2", "spec-n", "candidate",
-        "prefix", "sample-set-None", "sample-set-ragged"])
+    (InvalidParameter, lambda: fmbs_select(PHI3, 2, "0.5")),
+    (InvalidParameter, lambda: expected_mse(PHI3, [0, 1, 2], "1")),
+    (NonFiniteInput, lambda: fmbs_select([["a", "b"]], 1, 1.0)),
+    (DimensionError, lambda: fmbs_select([[1.0, 2.0], [3.0]], 1, 1.0)),
+    (NonFiniteInput, lambda: fmbs_select([["1.5", "2"]], 1, 1.0)),
+    (NonFiniteInput, lambda: pseudo_inverse_apply(PHI3, ["a", 1, 2])),
+], ids=["budget", "mu-None", "mu-str", "seed", "sigma2", "spec-n", "candidate",
+        "prefix", "sample-set-None", "sample-set-ragged", "mu-numeric-str", "sigma2-numeric-str",
+        "matrix-str", "matrix-ragged", "matrix-numeric-str", "vector-str"])
 def test_non_numbers_raise_named_errors(error, call):
-    # float(None), int(None), list(None) and a ragged array raised a bare
-    # TypeError or ValueError; each check now refuses them by its own name
+    # float(None), int(None), list(None), a ragged array and a string
+    # entry raised a bare TypeError or ValueError, and a numeric string
+    # was converted; each check now refuses them by its own name
     with pytest.raises(error):
         call()
 

@@ -1,8 +1,9 @@
-"""Count total and code lines per module of src/fmbs.
+"""Count total and code lines per module of src/fmbs, and the lines of tests/*.py.
 
 Code lines are the lines that hold part of a token other than a comment,
 so blank lines, comment lines and docstrings (module, class and function)
-do not count; a line that holds code and a trailing comment does.
+do not count; a line that holds code and a trailing comment does.  The
+last row is the total line count of the test modules, as wc -l counts it.
 
 Run from the repository root:
 
@@ -48,6 +49,9 @@ def main():
         totals[1] += code
         print(f"{path.name:<16} {total:>6} {code:>6}")
     print(f"{'total':<16} {totals[0]:>6} {totals[1]:>6}")
+    tests = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in pathlib.Path("tests").glob("*.py"))
+    print(f"{'tests/*.py':<16} {tests:>6}")
     return 0
 
 
