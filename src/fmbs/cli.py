@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 on success; 2 when a flag or the input is at fault; 3 for
 any other FmbsError, when a selection or its evaluation fails
-(DegenerateSchur, NotPositiveDefinite, TooLarge).  Argparse exits 2 itself
+(DegenerateSchur, NotPositiveDefinite, TooLarge; bench records a
+NotPositiveDefinite evaluation instead, see below).  Argparse exits 2 itself
 only for a value it cannot parse: a missing flag, an unknown choice, a
 number, range or method list that does not parse.  Every other bad input
 raises an InputError (the base of the library's input errors) or, for an
@@ -30,8 +31,12 @@ missing or unwritable directory exits 2 at once, with no output.
 Timing covers selection only, never matrix generation, MSE evaluation or
 I/O.  ``bench`` runs each greedy method (fmbs, greedy-direct) once per trial
 to the largest budget and reports, for every budget m, the first m picks and
-the cumulative step time of that shared run (PlacementResult.prefix); random and exhaustive are run
-and timed once per budget.  Result files are byte-identical across reruns
+the cumulative step time of that shared run (PlacementResult.prefix); random
+and exhaustive are run and timed once per budget.  A sample set whose
+expected_mse raises NotPositiveDefinite (rank-deficient rows, which random
+can draw from a {0, 1} matrix) has an unbounded MSE: bench records it as
+``inf`` in both CSVs and as ``null`` in --details-out, which stays strict
+JSON, and goes on.  Result files are byte-identical across reruns
 with the same flags and seed, except for the timing columns/fields.
 """
 
@@ -46,7 +51,7 @@ import time
 
 import numpy as np
 
-from .errors import FmbsError, InputError, InvalidSpec
+from .errors import FmbsError, InputError, InvalidSpec, NotPositiveDefinite
 from .inverse import expected_mse
 from .linalg import as_count, as_seed, as_shift, as_variance
 from .matgen import Model, ModelSpec, generate
@@ -182,7 +187,10 @@ def _cmd_bench(args):
                     result, seconds = _select(method, phi, m, args.mu, sampler_seed)
                     runs.append((m, result.indices, seconds))
             for m, indices, seconds in runs:
-                mse = expected_mse(phi, indices, args.sigma2)
+                try:
+                    mse = expected_mse(phi, indices, args.sigma2)
+                except NotPositiveDefinite:  # a rank-deficient set, whose MSE is unbounded
+                    mse = np.inf
                 results.append((method, m, trial, mse, seconds, indices))
     results.sort(key=lambda row: (row[0], row[1], row[2]))
 
@@ -218,7 +226,8 @@ def _cmd_bench(args):
                 "methods": args.methods,
             },
             "runs": [
-                {"method": method, "m": m, "trial": trial, "mse": mse, "indices": indices}
+                {"method": method, "m": m, "trial": trial, "mse": mse if mse < np.inf else None,
+                 "indices": indices}
                 for method, m, trial, mse, _, indices in results
             ],
         }

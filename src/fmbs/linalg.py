@@ -22,7 +22,11 @@ entry that is not a boolean, integer or float, such as "1.5", with
 NonFiniteInput, and a ragged nesting with DimensionError; float64 input
 is not copied.  The indices of a sample set are checked by dtype
 in ``as_sample_set``, which refuses a value that is not iterable, or is
-ragged, with InvalidSampleSet.
+ragged, with InvalidSampleSet, and tests their distinctness by equal
+neighbours in one sorted copy (np.unique would import numpy.ma on its
+first call, ~11 ms and ~1.2 MB in every process that checks a set).
+A refusal message quotes a refused str or bytes value (``_shown``), so
+as_seed("3") reads "got '3'", not "got 3".
 ``sample_rows`` checks a matrix and a sample set against it and gathers
 the selected rows.  Transient memory: ``_BLOCK_ENTRIES`` is the one block
 that sizes every blocked loop of the package.  The kernels:
@@ -176,9 +180,15 @@ def as_sample_set(s, n):
         raise InvalidSampleSet(f"sample indices must be integers, got dtype {idx.dtype}")
     if idx.min() < 0 or idx.max() >= n:
         raise InvalidSampleSet(f"sample index out of range for {n} rows")
-    if np.unique(idx).size != idx.size:
+    ordered = np.sort(idx)  # not np.unique, whose first call imports numpy.ma
+    if (ordered[1:] == ordered[:-1]).any():
         raise InvalidSampleSet("sample indices must be distinct")
     return idx.astype(np.intp, copy=False)
+
+
+def _shown(x):
+    """x as a refusal message shows it: a str or bytes value quoted, so "3" does not read as 3."""
+    return repr(x) if isinstance(x, (str, bytes)) else x
 
 
 def _as_float(x):
@@ -194,14 +204,14 @@ def _as_float(x):
 def as_shift(mu):
     """Coerce to a positive finite float shift mu, or raise InvalidParameter."""
     if not 0.0 < _as_float(mu) < np.inf:
-        raise InvalidParameter(f"shift mu must be positive and finite, got {mu}")
+        raise InvalidParameter(f"shift mu must be positive and finite, got {_shown(mu)}")
     return float(mu)
 
 
 def as_variance(sigma2):
     """Coerce to a nonnegative finite float noise variance, or raise InvalidParameter."""
     if not 0.0 <= _as_float(sigma2) < np.inf:
-        raise InvalidParameter(f"noise variance must be nonnegative and finite, got {sigma2}")
+        raise InvalidParameter(f"noise variance must be nonnegative and finite, got {_shown(sigma2)}")
     return float(sigma2)
 
 
@@ -220,7 +230,7 @@ def as_seed(seed):
     truncated.
     """
     if not is_integral(seed) or seed < 0:
-        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed}")
+        raise InvalidParameter(f"seed must be a nonnegative integer, got {_shown(seed)}")
     return int(seed)
 
 
@@ -231,7 +241,7 @@ def as_count(n, what):
     truncated.
     """
     if not is_integral(n) or n < 1:
-        raise InvalidParameter(f"{what} must be an integer of at least 1, got {n}")
+        raise InvalidParameter(f"{what} must be an integer of at least 1, got {_shown(n)}")
     return int(n)
 
 

@@ -71,8 +71,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, InvalidParameter, InvalidSampleSet, NonFiniteInput, TooLarge
-from .linalg import (_BLOCK_ENTRIES, as_count, as_matrix, as_seed, as_shift, cholesky, invert_lower,
-                     is_integral, sample_rows, schur_threshold, shifted_gram, spd_solve, trace_inverse)
+from .linalg import (_BLOCK_ENTRIES, _shown, as_count, as_matrix, as_seed, as_shift, cholesky,
+                     invert_lower, is_integral, sample_rows, schur_threshold, shifted_gram, spd_solve,
+                     trace_inverse)
 
 EXHAUSTIVE_LIMIT = 1_000_000
 
@@ -107,7 +108,7 @@ def _pick(score, offset=0.0):
 def _check_budget(m, n):
     """The budget m as an int in [1, n]; a non-integral m raises, not truncates."""
     if not is_integral(m) or not 1 <= m <= n:
-        raise BudgetError(f"budget must be an integer in [1, {n}], got {m}")
+        raise BudgetError(f"budget must be an integer in [1, {n}], got {_shown(m)}")
     return int(m)
 
 

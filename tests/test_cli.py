@@ -316,13 +316,43 @@ def test_bench_shares_greedy_runs(monkeypatch, tmp_path):
 
 
 def test_bench_model2_with_greedy(tmp_path):
-    # random selection on coin-flip matrices can gather rank-deficient rows
-    # (a legitimate exit-3 failure); the greedy sampler avoids them
+    # random selection on coin-flip matrices can gather rank-deficient rows,
+    # which bench records as mse inf (test_bench_records_a_rank_deficient_draw);
+    # the greedy sampler avoids them
     out = tmp_path / "b2.csv"
     code = run_cli(["bench", "--model", "2", "--n", "30", "--k", "2", "--budgets", "3:9:3",
                     "--trials", "2", "--seed", "21", "--methods", "fmbs", "--out", str(out)])
     assert code == 0
     assert len(out.read_text().strip().splitlines()) == 1 + 3 * 2
+
+
+def test_bench_records_a_rank_deficient_draw(tmp_path):
+    # one random 10-row draw from this {0, 1} matrix is singular (trial 2):
+    # its MSE is unbounded, so bench records inf, null in strict JSON, and
+    # goes on, where it exited 3 with no output
+    import fmbs.cli as cli
+
+    out, details = tmp_path / "b.csv", tmp_path / "b.json"
+    code = run_cli(["bench", "--model", "2", "--n", "200", "--k", "10", "--budgets", "10:20:5",
+                    "--trials", "3", "--seed", "4", "--methods", "random",
+                    "--out", str(out), "--details-out", str(details)])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    assert [row[:4] for row in rows if row[3] == "inf"] == [["random", "10", "2", "inf"]]
+    means = {row[1]: row[2] for row in (line.split(",") for line in
+                                        (tmp_path / "b.agg.csv").read_text().splitlines()[1:])}
+    assert means["10"] == "inf" and all(float(means[m]) < np.inf for m in ("15", "20"))
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    runs = json.loads(details.read_text(), parse_constant=refuse)["runs"]
+    assert [(run["m"], run["trial"]) for run in runs if run["mse"] is None] == [(10, 2)]
+    for run in runs:
+        if run["mse"] is not None:
+            phi = generate(ModelSpec(Model.BERNOULLI, 200, 10, cli._child_seed(4, 0, run["trial"])))
+            assert run["mse"] == expected_mse(phi, run["indices"], 1.0)
 
 
 def test_bench_determinism_modulo_seconds(tmp_path):

@@ -288,6 +288,7 @@ def test_monte_carlo_validation():
     (lambda tmp: fmbs_select(np.eye(3), 2, 0.0), InvalidParameter, ValueError),
     (lambda tmp: as_sample_set([5], 3), InvalidSampleSet, IndexError),
     (lambda tmp: as_sample_set([1, 1], 3), InvalidSampleSet, ValueError),
+    (lambda tmp: as_sample_set([2, 0, 1, 2], 3), InvalidSampleSet, ValueError),
     (lambda tmp: expected_mse(PHI3, [0, 1], -1.0), InvalidParameter, ValueError),
     (lambda tmp: monte_carlo_mse(PHI3, [0, 1], np.zeros(2), 1.0, trials=0, seed=0),
      InvalidParameter, ValueError),
@@ -298,8 +299,8 @@ def test_monte_carlo_validation():
     (lambda tmp: generate(ModelSpec(Model.GAUSSIAN, 10, 3, -1)), InvalidParameter, ValueError),
     (lambda tmp: monte_carlo_mse(PHI3, [0, 1], np.zeros(2), 1.0, trials=10, seed=-1),
      InvalidParameter, ValueError),
-], ids=["mu", "index-range", "repeated-index", "sigma2", "trials", "format", "selected-candidate",
-        "candidate-before-first-step", "random-seed", "model-seed", "monte-carlo-seed"])
+], ids=["mu", "index-range", "repeated-index", "repeated-index-apart", "sigma2", "trials", "format",
+        "selected-candidate", "candidate-before-first-step", "random-seed", "model-seed", "monte-carlo-seed"])
 def test_boundary_errors_are_named(tmp_path, call, error, builtin):
     # a bad argument raises a named FmbsError that is also the matching
     # builtin, so a handler written for either catches it

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,8 +21,8 @@ from fmbs import (
     schur_threshold,
     trace_inverse,
 )
-from fmbs.linalg import (_ROW_BLOCK, as_count, as_matrix, as_seed, as_vector, cholesky, invert_lower,
-                         is_integral)
+from fmbs.linalg import (_ROW_BLOCK, as_count, as_matrix, as_sample_set, as_seed, as_vector, cholesky,
+                         invert_lower, is_integral)
 
 # sides around the row blocks of invert_lower's triangular inverse: one
 # sweep (up to _ROW_BLOCK = 32, with 8, 9, 16 and 17 between), two, three
@@ -329,3 +332,30 @@ def test_opposite_infinities_name_the_first():
         as_vector([np.inf, -np.inf])
     with pytest.raises(NonFiniteInput, match=r"row 1, column 0 is -inf"):
         as_matrix([[1.0], [-np.inf], [np.inf]])
+
+
+def test_sample_set_keeps_selection_order():
+    # distinctness is tested on a sorted copy, not on the returned indices
+    idx = as_sample_set(np.array([3, 0, 2], dtype=np.int32), 4)
+    assert idx.tolist() == [3, 0, 2] and idx.dtype == np.intp
+
+
+def test_checking_a_sample_set_never_imports_numpy_ma():
+    # np.unique imports numpy.ma on its first call (~11 ms and ~1.2 MB with
+    # NumPy 2.4), which every process that checks a sample set paid for
+    code = """
+import sys
+import numpy as np
+from fmbs import as_sample_set, expected_mse, submatrix_objective
+
+phi = np.random.default_rng(0).standard_normal((20, 3))
+expected_mse(phi, [4, 1, 7, 2], 1.0)
+submatrix_objective(phi, [4, 1, 7], 1e-4)
+as_sample_set([2, 0, 1], 3)
+print("numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(fmbs.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False"]

@@ -31,7 +31,7 @@ from fmbs import (
     shifted_normal_objective,
     submatrix_objective,
 )
-from fmbs.linalg import as_count, as_seed
+from fmbs.linalg import as_count, as_seed, as_shift, as_variance
 
 MU = 1e-4
 
@@ -298,6 +298,23 @@ def test_non_numbers_raise_named_errors(error, call):
     # was converted; each check now refuses them by its own name
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_shift("0.5"), "got '0.5'"),
+    (lambda: as_variance("1"), "got '1'"),
+    (lambda: as_seed("3"), "got '3'"),
+    (lambda: as_count("2", "trials"), "got '2'"),
+    (lambda: fmbs_select(PHI3, "2", MU), "got '2'"),
+    (lambda: as_shift(np.float64(-0.5)), "got -0.5"),
+    (lambda: as_count(np.int64(0), "trials"), "got 0"),
+], ids=["mu-str", "sigma2-str", "seed-str", "count-str", "budget-str", "mu-numpy", "count-numpy"])
+def test_refused_value_is_shown(call, message):
+    # a string is quoted, where "3" read as the refused number 3; a number,
+    # a numpy scalar too, is shown as it prints
+    with pytest.raises(FmbsError) as excinfo:
+        call()
+    assert str(excinfo.value).endswith(message)
 
 
 @pytest.mark.parametrize("select", [fmbs_select, direct_greedy_select])

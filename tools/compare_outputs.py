@@ -11,7 +11,8 @@ COMMANDS in order with ``python -m fmbs``, from an empty output directory
 of its own and with relative paths, so that later commands read the
 matrices earlier ones wrote: ``gen`` for both models, ``place`` with every
 scoring method on Gaussian and Bernoulli matrices, ``bench --details-out``
-on both models and one ``scaling`` sweep.  Then every output file, each
+on both models (and a model-2 random sweep that draws a rank-deficient set)
+and one ``scaling`` sweep.  Then every output file, each
 command's standard output and its exit code are compared.  Timing is left
 out: the JSON keys in IGNORED_KEYS, the CSV columns in IGNORED_COLUMNS and
 the standard output of the subcommands in TIMED_STDOUT, which prints
@@ -45,6 +46,9 @@ COMMANDS = [
     *(f"bench --model {model} --n 120 --k 10 --budgets 10:25:5 --trials 3 --seed 7 "
       f"--methods fmbs,greedy-direct,random --out bench{model}.csv --details-out bench{model}.json"
       for model in (1, 2)),
+    # one random draw is rank-deficient: its mse reads inf in the CSVs and null in the JSON
+    "bench --model 2 --n 200 --k 10 --budgets 10:20:5 --trials 3 --seed 4 --methods random "
+    "--out rankdef.csv --details-out rankdef.json",
     "scaling --sweep m --n 120 --k 10 --values 10:30:10 --repeats 1 --seed 8 --out scaling.csv",
 ]
 
