@@ -26,7 +26,8 @@ budget outside [1, n]; expected_mse's DimensionError for a bench budget
 below k; ModelSpec's InvalidSpec for a k above n), before any result is
 written.
 Every output path is checked before any matrix is loaded or drawn, so a
-missing or unwritable directory exits 2 at once, with no output.
+missing or unwritable directory, or a path that names a directory, exits 2
+at once, with no output.
 
 Timing covers selection only, never matrix generation, MSE evaluation or
 I/O.  ``bench`` runs each greedy method (fmbs, greedy-direct) once per trial
@@ -113,7 +114,7 @@ def _select(method, phi, m, mu, seed):
 
 
 def _check_writable(*paths):
-    """Raise the error open(path, "w") would give for a missing or unwritable place.
+    """Raise the error open(path, "w") would give for a missing, unwritable or directory place.
 
     Handlers call it before any matrix is loaded or drawn, so a bad output
     path fails at once.  It creates no file; a None path is skipped.
@@ -122,6 +123,8 @@ def _check_writable(*paths):
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.access(path if os.path.exists(path) else parent, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 

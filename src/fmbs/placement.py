@@ -37,7 +37,9 @@ request only.  For M well below K a step reads all of Phi where the
 paper's recursion reads only its |S| x N block; that regime is not one a
 least-squares design (M >= K) runs.  Every Schur complement is at least
 mu, so a carried h_i that is not positive is rounding noise: it scores
-just below +inf and can win only when every candidate is like it.
+just below +inf and can win only when every candidate is like it.  A
+candidate's score is formed once, by the step; candidate_state reports
+that masked score as its cost (+inf where the carried h is not positive).
 DegenerateSchur is raised only when the winner's h is at or below
 schur_threshold(q_ii), and only up to depth K: past it h_i = mu (1 + d_i)
 >= mu.
@@ -242,10 +244,11 @@ class GreedyState:
     _pick, the smallest index within _TIE of the objective after the step
     (the running trace plus the score below depth K, tr(Ninv) plus it past
     it) from the best.  candidate_state and the chosen_* values give the
-    paper's p, r and h: h (and the cost) from the carried state, p and r
-    from a fresh Cholesky solve against the selected rows, made on request
-    only (r = Q_S^{-1} p below depth K, r = A (A^T A + mu I)^{-1} phi_i
-    from it on).
+    paper's p, r and h: h from the carried a, the cost from the step's
+    masked score, kept until the next fold (+inf where the carried h is
+    not positive), and p and r from a fresh Cholesky solve against the
+    selected rows, made on request only (r = Q_S^{-1} p below depth K,
+    r = A (A^T A + mu I)^{-1} phi_i from it on).
     """
 
     def __init__(self, phi, budget, mu):
@@ -261,12 +264,12 @@ class GreedyState:
         self._ninv = None
         # the buffers a step writes below depth K and in every fold,
         # allocated once per run: w and z, B^T w and B^T z, Phi u1 and
-        # Phi u2, the scores and the mask
+        # Phi u2, the scores (kept until the next fold) and the mask
         self._wz = np.empty((2, side))
         self._bwz = np.empty((2, k))
         self._c = np.empty((2, n))
-        self._scratch = np.empty(n)
-        self._masks = np.empty((2, n), dtype=bool)
+        self._score = np.empty(n)
+        self._mask = np.empty(n, dtype=bool)
         self._taken = np.zeros(n, dtype=bool)
         first = int(np.argmax(self.q_diag))
         self.selected = [first]
@@ -320,9 +323,8 @@ class GreedyState:
         if self.depth == 0:
             raise InvalidSampleSet("no committed candidate data before the first step")
         p, r = self._border_solve(i)
-        a = float(self._a[i])
-        # a carried a of exactly 0 (rounding, at mu <= 1e-15) costs +inf
-        h, cost = self._h_and_cost(a, float(self._b[i]) / a if a else math.inf)
+        score = float(self._score[i])
+        h, cost = self._h_and_cost(float(self._a[i]), score if score < _MASKED else math.inf)
         return CandidateState(i, p, r, h, cost)
 
     def step(self):
@@ -338,14 +340,12 @@ class GreedyState:
             self._fold(*self._downdate_ninv())
         a = self._a
         # a carried a can be exactly 0 at mu <= 1e-15, and a tiny positive
-        # one can overflow b / a; such a score, like that of any a that is
-        # not positive, is masked
+        # one can overflow b / a; such a score (fmin also maps NaN), like
+        # that of any a that is not positive, is masked
         with np.errstate(divide="ignore", over="ignore"):
-            score = np.divide(self._b, a, out=self._scratch)
-        masked, finite = self._masks
-        np.greater(a, 0.0, out=masked)
-        np.logical_and(masked, np.less_equal(score, _MASKED, out=finite), out=masked)
-        np.copyto(score, _MASKED, where=np.logical_not(masked, out=masked))
+            score = np.divide(self._b, a, out=self._score)
+        np.fmin(score, _MASKED, out=score)
+        np.copyto(score, _MASKED, where=np.less_equal(a, 0.0, out=self._mask))
         np.copyto(score, np.inf, where=self._taken)
         winner = _pick(score, self.objective_trace[-1] if self._ninv is None else float(self._ninv.trace()))
         a_winner = float(a[winner])
@@ -366,7 +366,7 @@ class GreedyState:
         c1, c2 = self._c
         np.matmul(self.phi, u1, out=c1)
         np.matmul(self.phi, u2, out=c2)
-        tmp = self._scratch
+        tmp = self._score
         np.multiply(c1, kappa, out=tmp)
         tmp -= c2
         tmp *= c1

@@ -198,6 +198,33 @@ def test_out_into_missing_directory_exits_2(monkeypatch, phi3_file, tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["phi3.csv"]
 
 
+def test_out_naming_a_directory_exits_2(monkeypatch, phi3_file, tmp_path, capsys):
+    # an output path that is a directory is refused with the others, before
+    # any selection runs or any line is printed
+    import fmbs.cli as cli
+
+    def no_selection(*args):
+        raise AssertionError("selection ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "_select", no_selection)
+    out = tmp_path / "adir"
+    out.mkdir()
+    bench = ["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5", "--trials", "1",
+             "--methods", "fmbs"]
+    for argv in (
+        ["gen", "--model", "1", "--n", "20", "--k", "3", "--out", str(out)],
+        ["place", "--matrix", str(phi3_file), "--budget", "2", "--method", "fmbs", "--out", str(out)],
+        bench + ["--out", str(out)],
+        bench + ["--out", str(tmp_path / "b.csv"), "--aggregate-out", str(out)],
+        bench + ["--out", str(tmp_path / "b.csv"), "--details-out", str(out)],
+        ["scaling", "--sweep", "m", "--n", "200", "--values", "20:40:20", "--repeats", "1",
+         "--out", str(out)],
+    ):
+        assert_refused(capsys, argv, "IsADirectoryError")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "phi3.csv"]
+    assert not any(out.iterdir())
+
+
 def test_place_solver_failure_exits_3(tmp_path):
     # the subset enumeration guard trips (C(40, 15) and C(30, 10) subsets)
     # and ends every subcommand with exit 3 and no output

@@ -612,15 +612,31 @@ def test_tiny_mu_raises_no_runtime_warning(mu):
             assert len(fmbs_select(phi, budgets[-1], mu).indices) == budgets[-1]
         with pytest.raises(DegenerateSchur):
             fmbs_select(rank3_matrix(), 5, mu)
-        # a candidate whose carried h is exactly 0 (one here at mu = 1e-16)
-        # reports an infinite cost rather than dividing by zero
+        # a candidate whose carried h is not positive (one is exactly 0
+        # here at mu = 1e-16) reports the step's masked score, an infinite
+        # cost, rather than dividing by zero or into a negative cost
         base = np.random.default_rng(5).standard_normal((8, 6))
         state = GreedyState(np.vstack([base, base[7]]), 9, mu)
         while not state.complete:
             state.step()
             for i in state.candidate_indices():
                 cand = state.candidate_state(int(i))
-                assert cand.h != 0.0 or cand.cost == np.inf
+                assert cand.h > 0.0 or cand.cost == np.inf
+
+
+def test_candidate_cost_is_the_step_score():
+    # at mu = 1e-16 the copy of the first pick carries h = -1.78e-15 after
+    # the first step; the step masks its score, so it is never picked, and
+    # candidate_state reports that masked score as an infinite cost, not
+    # b / h = -1.13e15, the lowest cost of all
+    base = np.random.default_rng(1).standard_normal((8, 6))
+    state = GreedyState(np.vstack([base, base[4]]), 7, 1e-16)
+    assert state.selected == [4]
+    state.step()
+    copy = state.candidate_state(8)
+    assert copy.h <= 0.0 and copy.cost == np.inf
+    for i in state.candidate_indices()[:-1]:
+        assert 0.0 < state.candidate_state(int(i)).cost < np.inf
 
 
 def test_overflowing_objective_bound_is_refused():

@@ -11,14 +11,16 @@ COMMANDS in order with ``python -m fmbs``, from an empty output directory
 of its own and with relative paths, so that later commands read the
 matrices earlier ones wrote: ``gen`` for both models, ``place`` with every
 scoring method on Gaussian and Bernoulli matrices, ``bench --details-out``
-on both models (and a model-2 random sweep that draws a rank-deficient set)
-and one ``scaling`` sweep.  Then every output file, each
-command's standard output and its exit code are compared.  Timing is left
-out: the JSON keys in IGNORED_KEYS, the CSV columns in IGNORED_COLUMNS and
-the standard output of the subcommands in TIMED_STDOUT, which prints
-timings; everything else, every float included, must be equal.  Prints
-one table row per command and exits 1 if any output differs.  Standard
-library only.
+on both models (and a model-2 random sweep that draws a rank-deficient set),
+one ``scaling`` sweep, and a ``place`` and a ``bench`` at K above 32.  Then
+every output file, each command's standard output and its exit code are
+compared; a command that exits non-zero, or leaves a named output
+unwritten, on both sides has compared nothing and counts as differing.
+Timing is left out: the JSON keys in IGNORED_KEYS, the CSV columns in
+IGNORED_COLUMNS and the standard output of the subcommands in
+TIMED_STDOUT, which prints timings; everything else, every float
+included, must be equal.  Prints one table row per command and exits 1
+if any output differs.  Standard library only.
 """
 
 import argparse
@@ -50,6 +52,13 @@ COMMANDS = [
     "bench --model 2 --n 200 --k 10 --budgets 10:20:5 --trials 3 --seed 4 --methods random "
     "--out rankdef.csv --details-out rankdef.json",
     "scaling --sweep m --n 120 --k 10 --values 10:30:10 --repeats 1 --seed 8 --out scaling.csv",
+    # K above 32: the benchmark's place shape, whose switch inverts a side-100
+    # factor by 4 x 25 blocks, and a side-33 bench, whose expected_mse, switch
+    # and greedy-direct stacks run invert_lower's padded path
+    "gen --model 1 --n 1000 --k 100 --seed 9 --out deep.bin",
+    "place --matrix deep.bin --budget 120 --method fmbs --out deep-fmbs.json",
+    "bench --model 1 --n 150 --k 33 --budgets 33:45:6 --trials 2 --seed 10 "
+    "--methods fmbs,greedy-direct,random --out bench33.csv --details-out bench33.json",
 ]
 
 
@@ -97,7 +106,7 @@ def outputs_of(command):
     names = [words[i + 1] for i, w in enumerate(words) if w in ("--out", "--details-out")]
     if words[0] == "bench":
         base, ext = os.path.splitext(words[words.index("--out") + 1])
-        names.append(f"{base}.agg{ext}")
+        names.append(f"{base}.agg{ext or '.csv'}")
     return names
 
 
@@ -110,14 +119,16 @@ def compare(dirs, runs):
         problems = []
         if parent_run[0] != change_run[0]:
             problems.append(f"exit code {parent_run[0]} != {change_run[0]}")
+        elif parent_run[0]:
+            # a command that fails on both sides compared nothing
+            problems.append(f"exit code {parent_run[0]} on both sides")
         if command.split()[0] not in TIMED_STDOUT and parent_run[1] != change_run[1]:
             problems.append("stdout differs")
         for name in names:
             paths = [os.path.join(dirs[side], name) for side in ("parent", "change")]
             present = [os.path.exists(p) for p in paths]
             if not all(present):
-                if any(present):
-                    problems.append(f"{name} written on one side only")
+                problems.append(f"{name} written on {'one side only' if any(present) else 'neither side'}")
             elif load(paths[0]) != load(paths[1]):
                 problems.append(f"{name} differs")
         rows.append((command, len(names), "; ".join(problems) or "same"))
