@@ -17,8 +17,8 @@ raises an InputError (the base of the library's input errors) or, for an
 unreadable or unwritable path, an OSError, and main() exits 2 for either.
 main() is the one place that turns an error into an exit code; it prints
 one ``error: <name>: <message>`` line to stderr.  Before any handler runs,
-main() checks --mu, --sigma2, --seed, --trials and --repeats by the
-library's own rules (linalg's as_shift, as_variance, as_seed, as_count).
+main() checks --mu, --seed, --trials and --repeats by the library's own
+rules (linalg's as_shift, as_seed, as_count).
 The CLI states no numeric rule of its own: a bad budget or sweep point is
 refused by the library where it is used (the selector's BudgetError, or
 PlacementResult.prefix's for a bench budget cut from a greedy run, for a
@@ -30,7 +30,9 @@ missing or unwritable directory, or a path that names a directory, exits 2
 at once, with no output.
 
 Timing covers selection only, never matrix generation, MSE evaluation or
-I/O.  ``bench`` runs each greedy method (fmbs, greedy-direct) once per trial
+I/O.  ``bench`` records each run's analytic expected MSE at unit noise
+variance (expected_mse with sigma2 = 1, which --details-out states in its
+config).  It runs each greedy method (fmbs, greedy-direct) once per trial
 to the largest budget and reports, for every budget m, the first m picks and
 the cumulative step time of that shared run (PlacementResult.prefix); random
 and exhaustive are run and timed once per budget.  A sample set whose
@@ -54,7 +56,7 @@ import numpy as np
 
 from .errors import FmbsError, InputError, InvalidSpec, NotPositiveDefinite
 from .inverse import expected_mse
-from .linalg import as_count, as_seed, as_shift, as_variance
+from .linalg import as_count, as_seed, as_shift
 from .matgen import Model, ModelSpec, generate
 from .matio import load_matrix, save_matrix
 from .placement import direct_greedy_select, exhaustive_select, fmbs_select, random_select
@@ -64,7 +66,7 @@ METHODS = ("fmbs", "greedy-direct", "random", "exhaustive")
 # longer run on the same matrix, so bench runs them once per trial
 _NESTED_METHODS = ("fmbs", "greedy-direct")
 # the library rule of each numeric flag; main() runs those its subcommand has
-_FLAG_RULES = {"mu": as_shift, "sigma2": as_variance, "seed": as_seed,
+_FLAG_RULES = {"mu": as_shift, "seed": as_seed,
                "trials": functools.partial(as_count, what="trials"),
                "repeats": functools.partial(as_count, what="repeats")}
 
@@ -191,7 +193,7 @@ def _cmd_bench(args):
                     runs.append((m, result.indices, seconds))
             for m, indices, seconds in runs:
                 try:
-                    mse = expected_mse(phi, indices, args.sigma2)
+                    mse = expected_mse(phi, indices, 1.0)
                 except NotPositiveDefinite:  # a rank-deficient set, whose MSE is unbounded
                     mse = np.inf
                 results.append((method, m, trial, mse, seconds, indices))
@@ -224,7 +226,7 @@ def _cmd_bench(args):
                 "budgets": args.budgets,
                 "trials": args.trials,
                 "mu": args.mu,
-                "sigma2": args.sigma2,
+                "sigma2": 1.0,
                 "seed": args.seed,
                 "methods": args.methods,
             },
@@ -324,8 +326,6 @@ def build_parser():
                        help="A:B:STEP (both ends included when aligned) or a single integer")
     bench.add_argument("--trials", type=int, default=10,
                        help="independent matrix draws per cell (default 10)")
-    bench.add_argument("--sigma2", type=float, default=1.0,
-                       help="noise variance in the recorded MSE (default 1)")
     bench.add_argument("--methods", type=_parse_methods, required=True,
                        help=f"comma-separated subset of: {', '.join(METHODS)}")
     bench.add_argument("--out", required=True, help="per-trial CSV path")

@@ -28,7 +28,10 @@ class NotPositiveDefinite(FmbsError):
 
 
 class DegenerateSchur(FmbsError):
-    """A Schur complement fell to or below the positivity floor."""
+    """A Schur complement fell to or below the positivity floor.
+
+    Past depth K, fmbs raises it also when its K-space state overflows.
+    """
 
 
 class BudgetError(InputError):

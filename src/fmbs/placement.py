@@ -40,9 +40,11 @@ mu, so a carried h_i that is not positive is rounding noise: it scores
 just below +inf and can win only when every candidate is like it.  A
 candidate's score is formed once, by the step; candidate_state reports
 that masked score as its cost (+inf where the carried h is not positive).
-DegenerateSchur is raised only when the winner's h is at or below
-schur_threshold(q_ii), and only up to depth K: past it h_i = mu (1 + d_i)
->= mu.
+Up to depth K, DegenerateSchur is raised only when the winner's h is at
+or below schur_threshold(q_ii).  Past it h_i = mu (1 + d_i) >= mu, but Ninv
+is up to 1/mu, so at a tiny mu (rows of norm 1e-110 at mu = 1e-250) the
+K-space products can overflow: DegenerateSchur is raised there when the
+winner's score is masked or the objective is not finite.
 
 ``direct_greedy_select`` makes the same greedy decisions but evaluates every
 candidate by explicit factorization, at O(min(t+1, K)^3) per candidate:
@@ -228,9 +230,12 @@ class GreedyState:
     At depth K the state is rebuilt once from the selected rows, in row
     blocks of Phi: Ninv = (A^T A + mu I)^{-1} (K x K), a = 1 + d with
     d_i = phi_i . Ninv phi_i, and b = -e with e_i = |Ninv phi_i|^2; B and G
-    are dropped.  From there on h_i = mu a_i >= mu, so DegenerateSchur
-    is not checked, and the cost is 1/mu + b_i / a_i: the score is minus the
-    K-space gain e_i / (1 + d_i), which decides with no 1/mu cancellation.
+    are dropped.  From there on h_i = mu a_i >= mu, so the Schur floor is
+    not checked; a winner whose score is masked, or whose step leaves the
+    objective not finite, shows that the K-space state overflowed and
+    raises DegenerateSchur.  The cost is 1/mu + b_i / a_i: the score is
+    minus the K-space gain e_i / (1 + d_i), which decides with no 1/mu
+    cancellation.
     Folding in j is Sherman-Morrison, with u = Ninv phi_j / sqrt(1 + d_j),
 
         u1 = u,   u2 = -2 Ninv u,   kappa = -|u|^2,   Ninv <- Ninv - u u^T.
@@ -334,10 +339,14 @@ class GreedyState:
         below_k = len(self.selected) < self.phi.shape[1]
         if below_k:
             self._fold(*self._extend_basis())
-        elif self._ninv is None:
-            self._switch()
         else:
-            self._fold(*self._downdate_ninv())
+            # Ninv is up to 1/mu, so at a tiny mu the K-space products can
+            # overflow; the winner's check below reports it, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self._ninv is None:
+                    self._switch()
+                else:
+                    self._fold(*self._downdate_ninv())
         a = self._a
         # a carried a can be exactly 0 at mu <= 1e-15, and a tiny positive
         # one can overflow b / a; such a score (fmin also maps NaN), like
@@ -351,8 +360,12 @@ class GreedyState:
         a_winner = float(a[winner])
         if below_k and not a_winner > schur_threshold(float(self.q_diag[winner])):
             raise DegenerateSchur(f"candidate {winner}: schur complement {a_winner:.6e} at or below floor")
-        self.chosen_h, increment = self._h_and_cost(a_winner, float(score[winner]))
-        self.objective_trace.append(self.objective_trace[-1] + increment)
+        h, increment = self._h_and_cost(a_winner, float(score[winner]))
+        objective = self.objective_trace[-1] + increment
+        if not below_k and not (score[winner] < _MASKED and math.isfinite(objective)):
+            raise DegenerateSchur(f"candidate {winner}: K-space state overflowed (objective {objective:.6e})")
+        self.chosen_h = h
+        self.objective_trace.append(objective)
         self.selected.append(winner)
         self._taken[winner] = True
         return winner

@@ -243,16 +243,24 @@ def test_place_solver_failure_exits_3(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
 
 
-def test_place_degenerate_schur_exits_3(tmp_path):
-    # 20 rows of rank 3 at mu = 1e-13: after three picks every candidate's
-    # Schur complement is rounding noise, so fmbs raises DegenerateSchur
+def test_place_degenerate_schur_exits_3(capsys, tmp_path):
+    # fmbs raises DegenerateSchur on 20 rows of rank 3 at mu = 1e-13, where
+    # after three picks every candidate's Schur complement is rounding
+    # noise, and on 7 x 1 rows of norm 1e-110 or 0 at mu = 1e-250, where
+    # past depth K the K-space state overflows: one error line, no JSON
     rng = np.random.default_rng(7)
-    matrix = tmp_path / "rank3.bin"
-    save_matrix(matrix, rng.standard_normal((20, 3)) @ rng.standard_normal((3, 6)))
-    code = run_cli(["place", "--matrix", str(matrix), "--budget", "5", "--method", "fmbs",
-                    "--mu", "1e-13", "--out", str(tmp_path / "x.json")])
-    assert code == 3
-    assert not (tmp_path / "x.json").exists()
+    cases = (("rank3", rng.standard_normal((20, 3)) @ rng.standard_normal((3, 6)), "1e-13"),
+             ("tiny", 1e-110 * np.array([[1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0]]).T, "1e-250"))
+    for name, phi, mu in cases:
+        matrix = tmp_path / f"{name}.bin"
+        save_matrix(matrix, phi)
+        code = run_cli(["place", "--matrix", str(matrix), "--budget", "5", "--method", "fmbs",
+                        "--mu", mu, "--out", str(tmp_path / f"{name}.json")])
+        assert code == 3, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err.startswith("error: DegenerateSchur: ") and captured.err.count("\n") == 1, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rank3.bin", "tiny.bin"]
 
 
 def test_place_deterministic_modulo_timing(phi3_file, tmp_path):
@@ -284,14 +292,19 @@ def test_bench_rows_and_audit(tmp_path):
     assert agg[0] == "method,m,mean_mse,mean_seconds"
     assert len(agg) == 1 + 3 * 3
 
-    # every stored mse reproduces from the stored indices and the seeded matrix
+    # every stored mse, in the CSV and the details JSON, is expected_mse of
+    # the stored indices and the seeded matrix at unit noise variance, bit
+    # for bit
     payload = json.loads(details.read_text())
+    assert payload["config"]["sigma2"] == 1.0
     from fmbs.cli import _child_seed
 
+    csv_mse = {(method, int(m), int(trial)): float(mse)
+               for method, m, trial, mse, _ in (line.split(",") for line in lines[1:])}
     for run in payload["runs"]:
         phi = generate(ModelSpec(Model.GAUSSIAN, 40, 3, _child_seed(11, 0, run["trial"])))
         fresh = expected_mse(phi, run["indices"], 1.0)
-        assert abs(run["mse"] - fresh) <= 1e-9 * max(1.0, abs(fresh))
+        assert run["mse"] == fresh == csv_mse[(run["method"], run["m"], run["trial"])]
 
 
 def test_bench_shares_greedy_runs(monkeypatch, tmp_path):
@@ -419,9 +432,11 @@ def test_bench_validation_exit_2(capsys, tmp_path):
                     "--trials", "1", "--methods", "fmbs,random,fmbs", "--out", out]) == 2
     for bad in BAD_MU:
         assert run_cli(base + ["--budgets", "5", "--mu", bad]) == 2
-    for bad in ("inf", "nan", "-1"):
-        assert run_cli(base + ["--budgets", "5", "--sigma2", bad]) == 2
-    assert not os.path.exists(out)
+    # bench records the MSE at unit noise variance; --sigma2 is gone
+    capsys.readouterr()
+    assert run_cli(base + ["--budgets", "5", "--sigma2", "2"]) == 2
+    assert "unrecognized arguments: --sigma2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_single_budget_and_exhaustive(tmp_path):

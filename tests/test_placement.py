@@ -571,6 +571,11 @@ def test_direct_greedy_picks_on_all_degenerate_input(mu):
         fmbs_select(phi, 5, mu)
 
 
+def tiny_rows():
+    """7 x 1 rows of norm 1e-110 or 0: past depth K = 1, Ninv is 1/(1e-220 + mu)."""
+    return 1e-110 * np.array([[1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0]]).T
+
+
 def degenerate_probe_inputs():
     """Inputs with rows whose Schur complement falls to rounding at tiny mu."""
     gauss = generate(ModelSpec(Model.GAUSSIAN, 40, 6, 1))
@@ -586,13 +591,17 @@ def degenerate_probe_params():
         for mu in (1e-12, 1e-13, 1e-14):
             for m in budgets:
                 yield pytest.param(phi, m, mu, id=f"{name}-{m}-{mu:g}")
+    # rows far below mu = 1e-200: Ninv is about 1/mu, and nothing overflows
+    # (at mu = 1e-250 the K-space state overflows and fmbs raises)
+    yield pytest.param(tiny_rows(), 5, 1e-200, id="tiny-rows-5-1e-200")
 
 
 @pytest.mark.parametrize("phi,m,mu", degenerate_probe_params())
 def test_fmbs_completes_at_tiny_mu(phi, m, mu):
-    # duplicate and {0, 1} rows at mu <= 1e-12: fmbs completes wherever
-    # greedy-direct does, with its picks, and every trace entry matches
-    # (t - K)/mu + sum 1/(sigma^2 + mu) from an SVD of the first t picks
+    # duplicate and {0, 1} rows at mu <= 1e-12, and rows of norm 1e-110 at
+    # mu = 1e-200: fmbs completes wherever greedy-direct does, with its
+    # picks, and every trace entry matches (t - K)/mu + sum 1/(sigma^2 + mu)
+    # from an SVD of the first t picks
     result = fmbs_select(phi, m, mu)
     assert result.indices == direct_greedy_select(phi, m, mu).indices
     k = phi.shape[1]
@@ -622,6 +631,20 @@ def test_tiny_mu_raises_no_runtime_warning(mu):
             for i in state.candidate_indices():
                 cand = state.candidate_state(int(i))
                 assert cand.h > 0.0 or cand.cost == np.inf
+
+
+@pytest.mark.parametrize("mu", [1e-250, 1e-299])
+def test_k_space_overflow_raises_degenerate_schur(mu):
+    # m/mu is finite, so mu is accepted, but the fold's -2 Ninv u is of
+    # order |phi|/|phi|^4 = 1e330: fmbs names the winner instead of
+    # returning an infinite trace, and no RuntimeWarning escapes first,
+    # while greedy-direct completes with a finite trace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSchur, match=r"^candidate \d+: K-space state overflowed"):
+            fmbs_select(tiny_rows(), 5, mu)
+        direct = direct_greedy_select(tiny_rows(), 5, mu)
+    assert direct.indices == [0, 1, 3, 4, 5] and np.isfinite(direct.objective_trace).all()
 
 
 def test_candidate_cost_is_the_step_score():
