@@ -35,12 +35,14 @@ variance (expected_mse with sigma2 = 1, which --details-out states in its
 config).  It runs each greedy method (fmbs, greedy-direct) once per trial
 to the largest budget and reports, for every budget m, the first m picks and
 the cumulative step time of that shared run (PlacementResult.prefix); random
-and exhaustive are run and timed once per budget.  A sample set whose
-expected_mse raises NotPositiveDefinite (rank-deficient rows, which random
-can draw from a {0, 1} matrix) has an unbounded MSE: bench records it as
-``inf`` in both CSVs and as ``null`` in --details-out, which stays strict
-JSON, and goes on.  Result files are byte-identical across reruns
-with the same flags and seed, except for the timing columns/fields.
+and exhaustive are run and timed once per budget.  The aggregate CSV goes
+beside --out, with ``.agg`` before its extension (``.agg.csv`` appended
+when it has none).  A sample set whose expected_mse raises
+NotPositiveDefinite (rank-deficient rows, which random can draw from a
+{0, 1} matrix) has an unbounded MSE: bench records it as ``inf`` in both
+CSVs and as ``null`` in --details-out, which stays strict JSON, and goes
+on.  Result files are byte-identical across reruns with the same flags
+and seed, except for the timing columns/fields.
 """
 
 import argparse
@@ -172,10 +174,8 @@ def _cmd_place(args):
 
 
 def _cmd_bench(args):
-    agg_path = args.aggregate_out
-    if agg_path is None:
-        base, ext = os.path.splitext(args.out)
-        agg_path = f"{base}.agg{ext or '.csv'}"
+    base, ext = os.path.splitext(args.out)
+    agg_path = f"{base}.agg{ext or '.csv'}"
     _check_writable(args.out, agg_path, args.details_out)
 
     results = []
@@ -328,9 +328,9 @@ def build_parser():
                        help="independent matrix draws per cell (default 10)")
     bench.add_argument("--methods", type=_parse_methods, required=True,
                        help=f"comma-separated subset of: {', '.join(METHODS)}")
-    bench.add_argument("--out", required=True, help="per-trial CSV path")
-    bench.add_argument("--aggregate-out", default=None,
-                       help="aggregate CSV path (default: <out>.agg.csv)")
+    bench.add_argument("--out", required=True,
+                       help="per-trial CSV path; the aggregate CSV goes beside it, with .agg "
+                            "before its extension (b.csv: b.agg.csv; b: b.agg.csv)")
     bench.add_argument("--details-out", default=None,
                        help="optional JSON with the selected indices of every run")
     bench.set_defaults(handler=_cmd_bench)

@@ -256,8 +256,13 @@ def sample_rows(phi, s):
 
 
 def schur_threshold(q_ii):
-    """Positivity floor for Schur complements: 1e-12 * max(1, q_ii)."""
-    return 1e-12 * np.maximum(1.0, q_ii)
+    """Positivity floor for Schur complements: 1e-12 * q_ii.
+
+    Relative to the diagonal entry alone: scaling the rows by c and mu by
+    c**2 scales every complement and its floor alike.  A caller with
+    q_ii <= 0 must still refuse h <= 0.
+    """
+    return 1e-12 * q_ii
 
 
 def shifted_gram(a, mu):
@@ -376,6 +381,7 @@ def block_inverse_update(q_inv, p, q_ii):
     and the new diagonal entry q_ii, returns the (t+1) x (t+1) inverse with
     top-left block q_inv + (q_inv p)(q_inv p)^T / h, borders -(q_inv p) / h
     and corner 1 / h, where h = q_ii - p^T q_inv p is the Schur complement.
+    Raises DegenerateSchur unless h is positive and above schur_threshold(q_ii).
     """
     q_inv = as_matrix(q_inv)
     p = as_vector(p)
@@ -387,7 +393,7 @@ def block_inverse_update(q_inv, p, q_ii):
     q_ii = float(q_ii)
     u = q_inv @ p
     h = q_ii - float(p @ u)
-    if not h > schur_threshold(q_ii):
+    if not h > max(schur_threshold(q_ii), 0.0):
         raise DegenerateSchur(f"schur complement {h:.6e} at or below floor for q_ii={q_ii:.6e}")
     out = np.empty((t + 1, t + 1))
     out[:t, :t] = q_inv + np.outer(u, u) / h

@@ -28,7 +28,7 @@ the score there is minus the K-space gain e_i / (1 + d_i), which decides
 without any 1/mu cancellation, at every mu > 0.
 
 A step costs two matrix-vector products with Phi plus O(K^2 + |S| K)
-work on small matrices (three reads of B and one of G up to depth K),
+work on small matrices (two products with B and one with G up to depth K),
 and writes its N-vectors into buffers allocated once per run, so
 a run at budget M costs O(N K M) and holds O(N + K^2) state, plus one
 256 KB block (linalg._BLOCK_ENTRIES) of Phi Ninv while the switch to K space

@@ -184,8 +184,8 @@ def test_out_into_missing_directory_exits_2(monkeypatch, phi3_file, tmp_path, ca
     argvs = [
         ["gen", "--model", "1", "--n", "20", "--k", "3", "--out", out],
         ["place", "--matrix", str(phi3_file), "--budget", "2", "--method", "fmbs", "--out", out],
+        # the aggregate CSV goes beside --out, so this case covers its directory too
         bench + ["--out", out],
-        bench + ["--out", str(tmp_path / "b.csv"), "--aggregate-out", out],
         bench + ["--out", str(tmp_path / "b.csv"), "--details-out", out],
         ["scaling", "--sweep", "n", "--values", "20:40:10", "--repeats", "1", "--out", out],
     ]
@@ -209,20 +209,26 @@ def test_out_naming_a_directory_exits_2(monkeypatch, phi3_file, tmp_path, capsys
     monkeypatch.setattr(cli, "_select", no_selection)
     out = tmp_path / "adir"
     out.mkdir()
+    # the aggregate path follows from --out: a directory at b.agg.csv (and
+    # at c.agg.csv for an --out with no extension) is refused with the others
+    for agg in ("b.agg.csv", "c.agg.csv"):
+        (tmp_path / agg).mkdir()
     bench = ["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5", "--trials", "1",
              "--methods", "fmbs"]
     for argv in (
         ["gen", "--model", "1", "--n", "20", "--k", "3", "--out", str(out)],
         ["place", "--matrix", str(phi3_file), "--budget", "2", "--method", "fmbs", "--out", str(out)],
         bench + ["--out", str(out)],
-        bench + ["--out", str(tmp_path / "b.csv"), "--aggregate-out", str(out)],
-        bench + ["--out", str(tmp_path / "b.csv"), "--details-out", str(out)],
+        bench + ["--out", str(tmp_path / "b.csv")],
+        bench + ["--out", str(tmp_path / "c")],
+        bench + ["--out", str(tmp_path / "d.csv"), "--details-out", str(out)],
         ["scaling", "--sweep", "m", "--n", "200", "--values", "20:40:20", "--repeats", "1",
          "--out", str(out)],
     ):
         assert_refused(capsys, argv, "IsADirectoryError")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "phi3.csv"]
-    assert not any(out.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "b.agg.csv", "c.agg.csv",
+                                                          "phi3.csv"]
+    assert not any(any(d.iterdir()) for d in (out, tmp_path / "b.agg.csv", tmp_path / "c.agg.csv"))
 
 
 def test_place_solver_failure_exits_3(tmp_path):
@@ -542,6 +548,28 @@ def test_scaling_removed_flags_are_refused(capsys, tmp_path):
         # argparse names the flag: unrecognized, or for --m an ambiguous prefix
         assert re.search(f"error: .*{flag}", capsys.readouterr().err), flag
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_aggregate_out_is_refused(capsys, tmp_path):
+    # --aggregate-out is gone: argparse names it and exits 2 before any output
+    assert run_cli(["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "5",
+                    "--trials", "1", "--methods", "fmbs", "--out", str(tmp_path / "b.csv"),
+                    "--aggregate-out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --aggregate-out" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_out_without_extension_writes_agg_csv(capsys, tmp_path):
+    # an --out with no extension gets .agg.csv appended for the aggregate
+    out = tmp_path / "sweep"
+    assert run_cli(["bench", "--model", "1", "--n", "20", "--k", "3", "--budgets", "3:5:2",
+                    "--trials", "1", "--methods", "fmbs", "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep", "sweep.agg.csv"]
+    assert capsys.readouterr().out == f"wrote 2 rows to {out} (aggregate: {out}.agg.csv)\n"
+    agg = (tmp_path / "sweep.agg.csv").read_text().splitlines()
+    assert agg[0] == "method,m,mean_mse,mean_seconds"
+    assert [row[:7] for row in agg[1:]] == ["fmbs,3,", "fmbs,5,"]
 
 
 def test_readme_commands_parse():

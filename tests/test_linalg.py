@@ -178,6 +178,12 @@ def test_block_inverse_update_degenerate_schur():
     # border equal to the only basis direction makes h = 1 - 1 = 0
     with pytest.raises(DegenerateSchur):
         block_inverse_update(np.array([[1.0]]), [1.0], 1.0)
+    # at q_ii <= 0 the relative floor 1e-12 q_ii is not above 0, yet h <= 0
+    # is still refused: h = 0 and h = -1e-14 lie above the floor -1e-12 at
+    # q_ii = -1, and h = 0 meets the floor 0 at q_ii = 0
+    for q_inv, p, q_ii in ((-1.0, 1.0, -1.0), (-1.0 + 1e-14, 1.0, -1.0), (1.0, 0.0, 0.0)):
+        with pytest.raises(DegenerateSchur):
+            block_inverse_update(np.array([[q_inv]]), [p], q_ii)
 
 
 def test_block_inverse_update_shape_checks():
@@ -209,9 +215,11 @@ def test_is_integral():
 
 
 def test_schur_threshold():
-    assert schur_threshold(0.5) == 1e-12
+    # relative to q_ii at every scale: no absolute part below q_ii = 1
+    assert schur_threshold(0.5) == 5e-13
     assert schur_threshold(2.0) == 2e-12
-    assert np.allclose(schur_threshold(np.array([0.5, 3.0])), [1e-12, 3e-12])
+    assert schur_threshold(2.0**-120) == 1e-12 * 2.0**-120
+    assert np.allclose(schur_threshold(np.array([0.5, 3.0])), [5e-13, 3e-12])
 
 
 def test_pseudo_inverse_identity():

@@ -594,14 +594,19 @@ def degenerate_probe_params():
     # rows far below mu = 1e-200: Ninv is about 1/mu, and nothing overflows
     # (at mu = 1e-250 the K-space state overflows and fmbs raises)
     yield pytest.param(tiny_rows(), 5, 1e-200, id="tiny-rows-5-1e-200")
+    # rows scaled down by 1e-7 at mu = 1e-18, the unscaled problem's 1e-4
+    # times 1e-14: every Schur complement is below 1e-12, so only a floor
+    # relative to q_ii lets fmbs complete
+    scaled = 1e-7 * np.random.default_rng(1).standard_normal((50, 5))
+    yield pytest.param(scaled, 10, 1e-18, id="scaled-1e-7-10-1e-18")
 
 
 @pytest.mark.parametrize("phi,m,mu", degenerate_probe_params())
 def test_fmbs_completes_at_tiny_mu(phi, m, mu):
-    # duplicate and {0, 1} rows at mu <= 1e-12, and rows of norm 1e-110 at
-    # mu = 1e-200: fmbs completes wherever greedy-direct does, with its
-    # picks, and every trace entry matches (t - K)/mu + sum 1/(sigma^2 + mu)
-    # from an SVD of the first t picks
+    # duplicate and {0, 1} rows at mu <= 1e-12, rows of norm 1e-110 at
+    # mu = 1e-200 and rows scaled by 1e-7 at mu = 1e-18: fmbs completes
+    # wherever greedy-direct does, with its picks, and every trace entry
+    # matches (t - K)/mu + sum 1/(sigma^2 + mu) from an SVD of the first t picks
     result = fmbs_select(phi, m, mu)
     assert result.indices == direct_greedy_select(phi, m, mu).indices
     k = phi.shape[1]
@@ -609,6 +614,20 @@ def test_fmbs_completes_at_tiny_mu(phi, m, mu):
         sigma = np.linalg.svd(phi[result.indices[:t]], compute_uv=False)
         ref = max(0, t - k) / mu + float(np.sum(1.0 / (sigma**2 + mu)))
         assert abs(value - ref) <= 1e-12 * ref, t
+
+
+@pytest.mark.parametrize("m", [4, 10])
+@pytest.mark.parametrize("c", [2.0**-30, 2.0**-60, 2.0**30], ids=["2^-30", "2^-60", "2^30"])
+def test_fmbs_is_scale_covariant(c, m):
+    # (c phi, c^2 mu) poses the same problem with the objective divided by
+    # c^2; a power of two scales exactly, so the picks are the unscaled ones
+    # and every trace entry is the unscaled one over c^2, bit for bit, below
+    # and past depth K = 5
+    phi = np.random.default_rng(1).standard_normal((50, 5))
+    base = fmbs_select(phi, m, 1e-4)
+    scaled = fmbs_select(c * phi, m, 1e-4 * c * c)
+    assert scaled.indices == base.indices
+    assert scaled.objective_trace == [t / (c * c) for t in base.objective_trace]
 
 
 @pytest.mark.parametrize("mu", [1e-15, 1e-16])

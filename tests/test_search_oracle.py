@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+from fmbs import DegenerateSchur
+
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "search_oracle.py"
 _spec = importlib.util.spec_from_file_location("search_oracle", TOOL)
 search_oracle = importlib.util.module_from_spec(_spec)
@@ -16,7 +18,7 @@ SEED, RUNS = 0, 400
 OBJECTIVE_BOUNDS = {
     "none": 1e-12,           # 6.9e-16 (fmbs)
     "duplicate-row": 1e-12,  # 9.8e-16 (fmbs)
-    "tiny-rows": 1e-12,      # 5.4e-16 (greedy-direct)
+    "tiny-rows": 1e-12,      # 1.2e-15 (fmbs)
     "spread-norms": 1e-6,    # 5.2e-8 (greedy-direct); fmbs 5.7e-11
     # both methods factor A^T A, which squares a scaled row's norm, so a
     # row of norm 2.7e8 swamps the other eigenvalues: 0.47 (fmbs, run
@@ -33,5 +35,7 @@ def test_search_finds_no_bare_error_and_bounded_objectives():
     for r in records:
         for method, err in r["errors"].items():
             assert err <= OBJECTIVE_BOUNDS[r["kind"]], (r["run"], r["kind"], method, err)
-    # the tiny-rows kind reaches the K-space overflow, which fmbs names
-    assert any("K-space state overflowed" in str(r["attempts"]["fmbs"]) for r in records)
+    # the tiny-rows kind reaches the K-space overflow, which fmbs names;
+    # with a Schur floor relative to q_ii, that is fmbs's only DegenerateSchur
+    refusals = [str(a) for a in (r["attempts"]["fmbs"] for r in records) if isinstance(a, DegenerateSchur)]
+    assert refusals and all("K-space state overflowed" in msg for msg in refusals)
