@@ -3,8 +3,9 @@
 Library layers:
 
 * :mod:`fmbs.linalg` -- dense kernels (shifted Gram matrices, Cholesky
-  factors and their triangular inverse, SPD solves, trace of inverse,
-  bordered-inverse update, least-squares apply), the checked inputs
+  factors and their triangular inverse, the QR of a stack [A; sqrt(mu) I]
+  that never forms A^T A, trace of inverse, bordered-inverse update,
+  least-squares apply), the checked inputs
   (matrix, vector, sample set and the rows it gathers, shift, noise
   variance, random seed, count) and the one transient-memory block every
   blocked loop is sized by;

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels used by the samplers and estimators.
 
 Everything operates on float64 numpy arrays through ``numpy.linalg``'s
-Cholesky factorization alone, so a process loads a single BLAS, and every
-routine is a pure function of its inputs.  This is the one module that
-forms a shifted Gram matrix or consumes its factor.
+Cholesky and QR factorizations alone, so a process loads a single BLAS,
+and every routine is a pure function of its inputs.  This is the one
+module that forms a shifted Gram matrix or consumes its factor.
 
 It also holds the two decisions the sampler and the estimators share.
 Checked inputs: ``as_matrix``, ``as_vector`` and ``as_sample_set`` turn a
@@ -41,16 +41,20 @@ that sizes every blocked loop of the package.  The kernels:
 * ``trace_inverse`` -- tr(A^{-1}) as the squared Frobenius norm of L^{-1}
   for A = L L^T, over the last two axes, so one call scores a whole stack
   of candidate submatrices;
-* ``spd_solve`` -- SPD solves as X^T (X b);
-* ``pseudo_inverse_apply`` -- least squares through the same factor,
-  refined against the residual;
+* ``shifted_qr`` -- from the QR of [a; sqrt(mu) I], which never forms
+  a^T a, X = R^{-T} with X^T X = (a^T a + mu I)^{-1}, or the damped
+  least-squares solve argmin |a r - f|^2 + mu |r|^2: the fast sampler's
+  switch to K space and its border solves;
+* ``pseudo_inverse_apply`` -- least squares through the Cholesky factor
+  of a^T a, refined against the residual;
 * ``block_inverse_update`` -- the bordered inverse after appending one
   row/column, through its Schur complement.
 
-No LAPACK solve or inverse is called: a factor is inverted by forward
-substitution in invert_lower, one row at a time as one batched matrix
-product over every diagonal block of every stack member, with gemm for
-the panels below the diagonal blocks of a side larger than _ROW_BLOCK.
+No LAPACK solve or inverse is called: a factor (a Cholesky factor, or
+the transpose of a QR factor) is inverted by forward substitution in
+invert_lower, one row at a time as one batched matrix product over every
+diagonal block of every stack member, with gemm for the panels below the
+diagonal blocks of a side larger than _ROW_BLOCK.
 The inverse overwrites the factor row by row, so a call holds one
 stack-sized array (two while a factor whose side does not split evenly is
 copied into a padded one).  The full inverse of a symmetric matrix is
@@ -342,14 +346,23 @@ def invert_lower(low):
     return low[..., :side, :side]
 
 
-def spd_solve(a, b):
-    """Solve a x = b for symmetric positive-definite a, as X^T (X b) with X = L^{-1}.
+def shifted_qr(a, mu, f=None):
+    """Triangular inverse, or damped least-squares solve, from the QR of [a; sqrt(mu) I].
 
-    b may be a vector or a matrix of right-hand sides.  Raises
-    NotPositiveDefinite if a is not positive definite.
+    a^T a is never formed, so the error grows with the condition number of
+    the stack, not with its square.  Without f, returns X = R^{-T} for the
+    triangular factor R of the stack, so X^T X = (a^T a + mu I)^{-1}.  With
+    f, returns the r that minimizes |a r - f|^2 + mu |r|^2: the stack is
+    bordered by the column [f; 0], the factor's last column then holds
+    Q^T [f; 0] above its corner, and r = R^{-1} Q^T [f; 0].  Neither
+    result depends on the signs of R's rows.  Only the factor is computed
+    (mode="r"): Q would be a second stack-sized array.
     """
-    x = invert_lower(cholesky(a))
-    return x.T @ (x @ b)
+    k = a.shape[1]
+    top = a if f is None else np.column_stack([a, f])
+    r = np.linalg.qr(np.vstack([top, np.sqrt(mu) * np.eye(k, top.shape[1])]), mode="r")
+    x = invert_lower(np.ascontiguousarray(r[:k, :k].T))
+    return x if f is None else x.T @ r[:k, k]
 
 
 def trace_inverse(a):

@@ -75,9 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, InvalidParameter, InvalidSampleSet, NonFiniteInput, TooLarge
-from .linalg import (_BLOCK_ENTRIES, _shown, as_count, as_matrix, as_seed, as_shift, cholesky,
-                     invert_lower, is_integral, sample_rows, schur_threshold, shifted_gram, spd_solve,
-                     trace_inverse)
+from .linalg import (_BLOCK_ENTRIES, _shown, as_count, as_matrix, as_seed, as_shift, is_integral, sample_rows,
+                     schur_threshold, shifted_gram, shifted_qr, trace_inverse)
 
 EXHAUSTIVE_LIMIT = 1_000_000
 
@@ -228,7 +227,9 @@ class GreedyState:
     raises DegenerateSchur naming it.
 
     At depth K the state is rebuilt once from the selected rows, in row
-    blocks of Phi: Ninv = (A^T A + mu I)^{-1} (K x K), a = 1 + d with
+    blocks of Phi: Ninv = (A^T A + mu I)^{-1} (K x K), as X^T X from the
+    QR of [A; sqrt(mu) I] (linalg.shifted_qr, which never forms A^T A, so
+    a row of large norm does not swamp mu), a = 1 + d with
     d_i = phi_i . Ninv phi_i, and b = -e with e_i = |Ninv phi_i|^2; B and G
     are dropped.  From there on h_i = mu a_i >= mu, so the Schur floor is
     not checked; a winner whose score is masked, or whose step leaves the
@@ -251,9 +252,10 @@ class GreedyState:
     it) from the best.  candidate_state and the chosen_* values give the
     paper's p, r and h: h from the carried a, the cost from the step's
     masked score, kept until the next fold (+inf where the carried h is
-    not positive), and p and r from a fresh Cholesky solve against the
-    selected rows, made on request only (r = Q_S^{-1} p below depth K,
-    r = A (A^T A + mu I)^{-1} phi_i from it on).
+    not positive), and p = A phi_i and r = Q_S^{-1} p afresh from the
+    selected rows A, on request only: r minimizes
+    |A^T r - phi_i|^2 + mu |r|^2, solved from the QR of [A^T; sqrt(mu) I]
+    at every depth.
     """
 
     def __init__(self, phi, budget, mu):
@@ -306,13 +308,13 @@ class GreedyState:
         return np.flatnonzero(~self._taken)
 
     def _border_solve(self, i):
-        """Border p_i and a fresh solve r_i = Q_S^{-1} p_i against selected[:depth]."""
+        """Border p_i and a fresh solve r_i = Q_S^{-1} p_i against selected[:depth].
+
+        r_i minimizes |A^T r - phi_i|^2 + mu |r|^2, whose normal equations
+        are Q_S r = p_i, so one QR serves every depth.
+        """
         a = self.phi[self.selected[: self.depth]]
-        p = a @ self.phi[i]
-        if a.shape[0] < a.shape[1]:
-            return p, spd_solve(shifted_gram(a.T, self.mu), p)
-        # push-through: (A A^T + mu I)^{-1} A = A (A^T A + mu I)^{-1}
-        return p, a @ spd_solve(shifted_gram(a, self.mu), self.phi[i])
+        return a @ self.phi[i], shifted_qr(a.T, self.mu, self.phi[i])
 
     def _h_and_cost(self, a, score):
         """Schur complement and cost of a candidate from its a and its score b / a."""
@@ -412,8 +414,8 @@ class GreedyState:
 
     def _switch(self):
         """Rebuild Ninv, a and b from the selected rows at depth K; drop B and G."""
-        linv = invert_lower(cholesky(shifted_gram(self.phi[self.selected], self.mu)))
-        self._ninv = linv.T @ linv
+        x = shifted_qr(self.phi[self.selected], self.mu)
+        self._ninv = x.T @ x
         n, k = self.phi.shape
         step = max(1, _BLOCK_ENTRIES // k)
         # one block, written in place, so the next block's product does not

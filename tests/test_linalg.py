@@ -22,7 +22,7 @@ from fmbs import (
     trace_inverse,
 )
 from fmbs.linalg import (_ROW_BLOCK, as_count, as_matrix, as_sample_set, as_seed, as_vector, cholesky,
-                         invert_lower, is_integral)
+                         invert_lower, is_integral, shifted_qr)
 
 # sides around the row blocks of invert_lower's triangular inverse: one
 # sweep (up to _ROW_BLOCK = 32, with 8, 9, 16 and 17 between), two, three
@@ -275,7 +275,7 @@ def test_pseudo_inverse_observation_length_checked():
 def test_linalg_owns_every_factorization():
     # one module forms shifted Gram matrices and consumes their factors:
     # no other module of the package touches numpy.linalg, this one calls
-    # only its Cholesky factorization, and no cho_solve is left
+    # only its Cholesky and QR factorizations, and no cho_solve is left
     package = pathlib.Path(fmbs.__file__).parent
     for path in sorted(package.glob("*.py")):
         used = set()
@@ -293,9 +293,39 @@ def test_linalg_owns_every_factorization():
             names = {getattr(node, f, None) for f in ("id", "attr", "name", "asname")}
             assert "cho_solve" not in names, path.name
         if path.name == "linalg.py":
-            assert used == {"linalg", "cholesky", "LinAlgError"}, used
+            assert used == {"linalg", "cholesky", "qr", "LinAlgError"}, used
         else:
             assert not used, (path.name, used)
+
+
+def test_only_linalg_calls_its_factor_kernels():
+    # a sampler or estimator reaches a factor through a linalg kernel that
+    # consumes it (trace_inverse, shifted_qr, ...), never by factoring and
+    # inverting on its own
+    package = pathlib.Path(fmbs.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)}
+        assert not called & {"cholesky", "invert_lower"}, (path.name, called & {"cholesky", "invert_lower"})
+
+
+def test_shifted_qr_matches_svd():
+    # X^T X = (a^T a + mu I)^{-1}, and r = (a^T a + mu I)^{-1} a^T f, from
+    # a = U diag(sigma) V^T; tall and wide a alike
+    rng = np.random.default_rng(29)
+    for shape in ((9, 4), (4, 9)):
+        a = rng.standard_normal(shape)
+        mu, f = 0.3, rng.standard_normal(shape[0])
+        u, sigma, vt = np.linalg.svd(a)
+        gains = np.zeros(shape[1])
+        gains[: sigma.size] = sigma**2
+        ninv = (vt.T / (gains + mu)) @ vt
+        x = shifted_qr(a, mu)
+        assert np.abs(x.T @ x - ninv).max() <= 1e-14 * np.abs(ninv).max()
+        r = vt.T[:, : sigma.size] @ (sigma / (sigma**2 + mu) * (u[:, : sigma.size].T @ f))
+        assert np.linalg.norm(shifted_qr(a, mu, f) - r) <= 1e-14 * np.linalg.norm(r)
 
 
 def test_sampler_and_estimators_build_on_linalg_alone():

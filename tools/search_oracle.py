@@ -22,9 +22,9 @@ outcome() classes the pair: the same picks, picks that
 differ, a named error (an FmbsError) from one method or both, or a bare
 builtin error or warning from either, which is a bug.  The tool prints
 the count of each outcome, the runs that hit a bare error, and per method
-the largest relative distance of a completed run's final objective from
-the same picks' objective computed from their singular values.  Needs
-numpy and the standard library, besides fmbs itself.
+and per kind the largest relative distance of a completed run's final
+objective from the same picks' objective computed from their singular
+values.  Needs numpy and the standard library, besides fmbs itself.
 """
 
 import argparse
@@ -139,10 +139,16 @@ def main(argv=None):
         if r["outcome"] == BARE:
             errors = {name: repr(a) for name, a in r["attempts"].items() if isinstance(a, Exception)}
             print(f"run {r['run']} ({r['kind']}): {errors}")
-    for name in METHODS:
-        errs = [r["errors"][name] for r in records if name in r["errors"]]
-        if errs:
-            print(f"{name}: {len(errs)} completed, max |objective - SVD| / SVD {max(errs):.3e}")
+    print("\nmax |objective - SVD| / SVD over completed runs (completed/drawn)")
+    print(f"{'kind':<14}" + "".join(f"  {name:>22}" for name in METHODS))
+    for kind in KINDS:
+        runs = [r for r in records if r["kind"] == kind]
+        cells = []
+        for name in METHODS:
+            errs = [r["errors"][name] for r in runs if name in r["errors"]]
+            worst = f"{max(errs):.1e}" if errs else "-"
+            cells.append(f"{worst} ({len(errs)}/{len(runs)})")
+        print(f"{kind:<14}" + "".join(f"  {cell:>22}" for cell in cells))
     return 1 if counts[BARE] else 0
 
 
