@@ -5,16 +5,20 @@ Subcommands:
 * ``gen``      write a seeded random measurement matrix to disk;
 * ``place``    run one selection method on a stored matrix, emit JSON;
 * ``bench``    MSE-versus-budget sweeps over seeded matrix draws, emit CSV;
-* ``scaling``  wall-time sweeps with a fitted log-log slope report.
+* ``scaling``  wall-time sweeps of fmbs with a fitted log-log slope report
+  (cross-method timing is bench's: its seconds column times every method
+  at every budget).
 
 Exit codes: 0 on success; 2 when a flag or the input is at fault; 3 for
 any other FmbsError, when a selection or its evaluation fails
 (DegenerateSchur, NotPositiveDefinite, TooLarge; bench records a
 NotPositiveDefinite evaluation instead, see below).  Argparse exits 2 itself
-only for a value it cannot parse: a missing flag, an unknown choice, a
-number, range or method list that does not parse.  Every other bad input
-raises an InputError (the base of the library's input errors) or, for an
-unreadable or unwritable path, an OSError, and main() exits 2 for either.
+only for a value it cannot parse: a missing or unknown flag (scaling
+takes flags by their full names only, so its removed --m is not read as
+--mu), an unknown choice, a number, range or method list that does not
+parse.  Every other bad input raises an InputError (the base of the
+library's input errors) or, for an unreadable or unwritable path, an
+OSError, and main() exits 2 for either.
 main() is the one place that turns an error into an exit code; it prints
 one ``error: <name>: <message>`` line to stderr.  Before any handler runs,
 main() checks --mu, --seed, --trials and --repeats by the library's own
@@ -265,7 +269,7 @@ def _cmd_scaling(args):
     seconds = [[] for _ in points]
     for rep in range(-1, args.repeats):
         for idx, (n, k, m) in enumerate(points):
-            _, sec = _select(args.method, matrices[idx], m, args.mu, _child_seed(args.seed, 2, max(rep, 0)))
+            _, sec = _select("fmbs", matrices[idx], m, args.mu, None)
             if rep >= 0:
                 seconds[idx].append(sec)
     rows = []
@@ -281,7 +285,7 @@ def _cmd_scaling(args):
     if len(args.values) > 1 and all(t > 0 for t in mins):
         slope = float(np.polyfit(np.log(np.asarray(args.values, float)), np.log(np.asarray(mins)), 1)[0])
         label = "m at fixed n" if args.sweep == "m" else "n"
-        print(f"log-log slope of {args.method} selection time vs {label}: {slope:.3f}")
+        print(f"log-log slope of fmbs selection time vs {label}: {slope:.3f}")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -335,8 +339,10 @@ def build_parser():
                        help="optional JSON with the selected indices of every run")
     bench.set_defaults(handler=_cmd_bench)
 
-    scaling = sub.add_parser("scaling", parents=[shift, seed],
-                             help="selection wall-time sweep, CSV + slope report")
+    # scaling takes a flag by its full name only: its removed --m would
+    # otherwise read as a prefix of --mu
+    scaling = sub.add_parser("scaling", parents=[shift, seed], allow_abbrev=False,
+                             help="fmbs selection wall-time sweep, CSV + slope report")
     scaling.add_argument("--sweep", required=True, choices=("m", "n"),
                          help="sweep the budget at fixed n, or the field size n at budget n/10")
     scaling.add_argument("--values", type=_parse_budgets, required=True,
@@ -344,7 +350,6 @@ def build_parser():
     scaling.add_argument("--n", type=int, default=None, help="fixed field size for --sweep m")
     scaling.add_argument("--k", type=int, default=None,
                          help="parameter count (default: matches the budget)")
-    scaling.add_argument("--method", default="fmbs", choices=METHODS)
     scaling.add_argument("--repeats", type=int, default=3,
                          help="timed repeats per point (default 3)")
     scaling.add_argument("--out", required=True, help="CSV path")

@@ -546,8 +546,11 @@ def direct_greedy_select(phi, m, mu):
     DegenerateSchur, it returns the pick that rounding decides.  A
     candidate costs O(min(t+1, K)^3), and nothing is carried from one step
     to the next but the selected indices, so it stays an independent
-    correctness oracle for fmbs_select.  Past depth K it cannot raise
-    NotPositiveDefinite, because the K x K matrix is at least mu I.
+    correctness oracle for fmbs_select.  Past depth K the K x K matrix is
+    at least mu I in exact arithmetic, but it is formed from A^T A: where
+    a large row's entries swamp mu in rounding, it can raise
+    NotPositiveDefinite or mis-score a pick far outside a tie, on input
+    where fmbs_select completes and picks right.
     """
     start = time.perf_counter_ns()
     phi, m, mu, q_diag = _prepare(phi, m, mu)

@@ -190,6 +190,11 @@ def test_monte_carlo_noiseless():
     assert val <= 1e-18
 
 
+def test_monte_carlo_parameter_length():
+    with pytest.raises(DimensionError, match="parameter length 3 != column count 2"):
+        monte_carlo_mse(PHI3, [0, 1, 2], np.ones(3), 1.0, trials=10, seed=4)
+
+
 def test_monte_carlo_identity():
     val = monte_carlo_mse(np.eye(2), [0, 1], np.zeros(2), 1.0, trials=100_000, seed=6)
     assert abs(val - 2.0) <= 0.1

@@ -68,6 +68,12 @@ def test_text_row_count_mismatch(tmp_path):
         load_matrix(path)
 
 
+def test_text_trailing_blank_lines_are_not_rows(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("2,2\n1,0\n0,1\n\n \n")
+    assert np.array_equal(load_matrix(path), np.eye(2))
+
+
 def test_text_column_count_mismatch(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("2,2\n1,0\n0,1,5\n")
