@@ -108,7 +108,14 @@ def _parse_methods(text):
 
 
 def _select(method, phi, m, mu, seed):
-    """(result, seconds) of one selection, timed alone: the one timer of the CLI."""
+    """(result, seconds) of one selection, timed alone by perf_counter.
+
+    These seconds are place's wall_time_seconds, scaling's seconds and
+    bench's seconds column for random and exhaustive.  bench's fmbs and
+    greedy-direct seconds come from the library's timer instead: each
+    budget's is the PlacementResult.prefix sum of one shared run's
+    step_times_ns.
+    """
     start = time.perf_counter()
     if method == "fmbs":
         result = fmbs_select(phi, m, mu)

@@ -18,9 +18,11 @@ from .linalg import (_BLOCK_ENTRIES, as_count, as_seed, as_variance, as_vector, 
 def ls_estimate(phi, s, y):
     """Unbiased least-squares recovery g_hat from partial observations y.
 
-    g_hat is a K-vector for a |S|-vector y, or K x c for a |S| x c y.
-    Requires the gathered rows to have full column rank; a rank-deficient
-    normal matrix raises NotPositiveDefinite.
+    g_hat is a K-vector for a |S|-vector y, or K x c for a |S| x c y,
+    solved by the reduced QR of the gathered rows A, which never forms
+    A^T A (linalg.pseudo_inverse_apply).  Requires A to have full column
+    rank: a set whose min |r_jj| is at or below max(|S|, K) eps max |r_jj|
+    raises NotPositiveDefinite.
     """
     return pseudo_inverse_apply(sample_rows(phi, s), y)
 

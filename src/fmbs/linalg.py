@@ -45,8 +45,9 @@ that sizes every blocked loop of the package.  The kernels:
   a^T a, X = R^{-T} with X^T X = (a^T a + mu I)^{-1}, or the damped
   least-squares solve argmin |a r - f|^2 + mu |r|^2: the fast sampler's
   switch to K space and its border solves;
-* ``pseudo_inverse_apply`` -- least squares through the Cholesky factor
-  of a^T a, refined against the residual;
+* ``pseudo_inverse_apply`` -- least squares g = R^{-1} Q^T y from the
+  reduced QR of a, which never forms a^T a, raising NotPositiveDefinite
+  when min |r_jj| <= max(t, K) eps max |r_jj|;
 * ``block_inverse_update`` -- the bordered inverse after appending one
   row/column, through its Schur complement.
 
@@ -419,9 +420,11 @@ def pseudo_inverse_apply(a, y):
     """Least-squares solution (a^T a)^{-1} a^T y for full-column-rank a.
 
     y is one observation vector of length t = a.shape[0], or a t x c matrix
-    whose c columns are solved together into a K x c result.  One Cholesky
-    factor of a^T a serves the solve and two corrections against the
-    residual y - a g.
+    whose c columns are solved together into a K x c result.  The solve is
+    g = R^{-1} Q^T y from the reduced QR of a, which never forms a^T a, so
+    its error grows with cond(a), not with its square.  a is taken as rank
+    deficient, and NotPositiveDefinite raised, when the smallest |r_jj| is
+    at or below max(t, K) eps times the largest.
     """
     a = as_matrix(a)
     y = as_vector(y) if np.ndim(y) == 1 else as_matrix(y)
@@ -429,12 +432,8 @@ def pseudo_inverse_apply(a, y):
         raise DimensionError(f"observation length {y.shape[0]} != row count {a.shape[0]}")
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least as many rows as columns, got {a.shape}")
-    # a^T a squares the condition number, so a plain solve's error is about
-    # cond(a)^2 eps; each further solve against the least-squares residual
-    # y - a g cuts it by about that factor again (corrected semi-normal
-    # equations): the first pass, from g = 0, is the plain solve
-    x = invert_lower(cholesky(shifted_gram(a, 0.0)))
-    g = np.zeros(a.shape[1:] + y.shape[1:])
-    for _ in range(3):
-        g += x.T @ (x @ (a.T @ (y - a @ g)))
-    return g
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diagonal(r))
+    if diag.min() <= max(a.shape) * np.finfo(np.float64).eps * diag.max():
+        raise NotPositiveDefinite(f"rank deficient: min |r_jj| {diag.min():.6e} against max {diag.max():.6e}")
+    return invert_lower(np.ascontiguousarray(r.T)).T @ (q.T @ y)

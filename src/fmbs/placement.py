@@ -119,8 +119,11 @@ def _prepare(phi, m, mu):
     """Checked matrix, budget and shift, and the shifted squared row norms.
 
     Returns (phi, m, mu, q) with phi C-contiguous and q_ii = |phi_i|^2 + mu.
-    Every objective of m rows is at most m/mu, because Q_S >= mu I, so a mu
-    for which m/mu overflows raises InvalidParameter naming both, and a row
+    A phi that is not C-contiguous (Fortran-ordered, or a strided view) is
+    copied into one that is, so there the run holds a second Phi: the one
+    temporary proportional to Phi that a selection makes.  Every objective
+    of m rows is at most m/mu, because Q_S >= mu I, so a mu for which m/mu
+    overflows raises InvalidParameter naming both, and a row
     whose q_ii overflows raises NonFiniteInput naming it, before any method
     scores a candidate.
     """
@@ -452,26 +455,18 @@ def fmbs_select(phi, m, mu):
     return PlacementResult(list(state.selected), list(state.objective_trace), times, "fmbs")
 
 
-class _StackBuffers:
-    """The buffers _extension_traces fills, allocated once per run.
+def _stack_buffers(n, k, m):
+    """(rows, stack): the buffers _extension_traces fills, allocated once per run.
 
     rows holds one block of gathered candidate rows (at most N of them, at
-    least one).  The stack of candidate matrices grows on demand to the
-    largest stack a call needs: the old buffer is dropped before the new
-    one is allocated, so a run holds at most one of each.
+    least one).  stack is flat, with room for len(rows) matrices of side
+    s = min(m, K), capped at one block, or one matrix where that is larger:
+    a stack's batch is at most len(rows) and its side at most s, so that
+    bounds every stack a run forms.
     """
-
-    def __init__(self, n, k):
-        self.rows = np.empty((min(n, max(1, _BLOCK_ENTRIES // k)), k))
-        self._stack = np.empty(0)
-
-    def stack(self, batch, side):
-        """A C-contiguous (batch, side, side) view of the stack buffer."""
-        size = batch * side * side
-        if self._stack.size < size:
-            self._stack = None
-            self._stack = np.empty(size)
-        return self._stack[:size].reshape(batch, side, side)
+    rows = np.empty((min(n, max(1, _BLOCK_ENTRIES // k)), k))
+    s = min(m, k)
+    return rows, np.empty(min(len(rows) * s * s, max(_BLOCK_ENTRIES, s * s)))
 
 
 def _extension_traces(phi, base, candidates, mu, buffers):
@@ -488,7 +483,7 @@ def _extension_traces(phi, base, candidates, mu, buffers):
     rows fit in a block as well as the stack (one candidate per stack once
     a single matrix is larger), and each stack is factored by one
     trace_inverse call.  Rows and stacks are written in place into the
-    run's _StackBuffers, so a run allocates them once, not once per call.
+    run's _stack_buffers, so a run allocates them once, not once per call.
     Neither a candidate's matrix nor its trace depends on the stack it
     falls in, so its score is bitwise the same for any stack size.
     """
@@ -498,7 +493,8 @@ def _extension_traces(phi, base, candidates, mu, buffers):
     batch = min(candidates.size, max(1, _BLOCK_ENTRIES // max(side**2, k)))
     # every matrix of a stack shares the part fixed by base; only the
     # candidate's own terms change from one to the next
-    q = buffers.stack(batch, side)
+    rows_buffer, stack_buffer = buffers
+    q = stack_buffer[: batch * side * side].reshape(batch, side, side)
     if t + 1 <= k:
         q[:, :t, :t] = shifted_gram(a.T, mu)
     else:
@@ -508,7 +504,7 @@ def _extension_traces(phi, base, candidates, mu, buffers):
         # gathered in place; mode="clip" (the indices are in range) because
         # the default mode="raise" copies through a second buffer
         chunk = candidates[lo : lo + batch]
-        rows = np.take(phi, chunk, axis=0, out=buffers.rows[: chunk.size], mode="clip")
+        rows = np.take(phi, chunk, axis=0, out=rows_buffer[: chunk.size], mode="clip")
         stack = q[: rows.shape[0]]
         if t + 1 <= k:
             # one vector-matrix product per candidate, so a candidate's
@@ -560,7 +556,7 @@ def direct_greedy_select(phi, m, mu):
     selected = [first]
     trace = [1.0 / float(q_diag[first])]
     candidates = np.delete(np.arange(n), first)
-    buffers = _StackBuffers(n, k)
+    buffers = _stack_buffers(n, k, m)
     times = [time.perf_counter_ns() - start]
     while len(selected) < m:
         start = time.perf_counter_ns()
@@ -597,7 +593,7 @@ def exhaustive_select(phi, m, mu):
     if total > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"C({n},{m}) = {total} subsets exceeds the limit {EXHAUSTIVE_LIMIT}")
     best_val, best = math.inf, None
-    buffers = _StackBuffers(n, k)
+    buffers = _stack_buffers(n, k, m)
     # prefixes in lexicographic order, each followed by its last rows in
     # ascending order, enumerate the m-subsets lexicographically
     for prefix in itertools.combinations(range(n - 1), m - 1):

@@ -251,7 +251,7 @@ def test_monte_carlo_agreement_small_instances():
         empirical = monte_carlo_mse(phi, s, g, 1.0, trials=100_000, seed=200 + trial)
         assert abs(empirical - analytic) <= 0.05 * analytic
     # one row scaled by 1e7 (cond 1e7) at small noise: the draws go through
-    # ls_estimate's corrected estimator, where a plain solve of the normal
+    # ls_estimate's QR estimator, where a plain solve of the normal
     # equations reads several times the analytic value
     phi = generate(ModelSpec(Model.GAUSSIAN, 30, 4, 1))
     phi[7] *= 1e7

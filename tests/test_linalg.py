@@ -246,14 +246,46 @@ def test_pseudo_inverse_roundtrip():
         got = pseudo_inverse_apply(a, a @ x)
         assert np.linalg.norm(got - x) <= 1e-14 * (1.0 + np.linalg.norm(x))
     # one row scaled by 1e7 gives cond(a) 1e7: a plain solve of the normal
-    # equations is off by 1e-3 there, and the residual corrections bring
-    # the error back down
+    # equations is off by 1e-3 there, and the QR solve, which never forms
+    # a^T a, keeps the error near cond(a) eps
     phi = fmbs.generate(fmbs.ModelSpec(fmbs.Model.GAUSSIAN, 30, 4, 1))
     x = np.random.default_rng(3).standard_normal(4)
     a = phi[:12].copy()
     a[7] *= 1e7
     got = pseudo_inverse_apply(a, a @ x)
     assert np.linalg.norm(got - x) <= 1e-8 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e13])
+def test_pseudo_inverse_scaled_row_within_cond_eps(scale):
+    # the roundtrip's 12 x 4 set with its row scaled further, to cond(a)
+    # 1e10 and 1e13: a^T a's Cholesky factor fails there, and the QR
+    # solve's error stays below cond(a) eps (0.03 and 0.06 of it, measured)
+    phi = fmbs.generate(fmbs.ModelSpec(fmbs.Model.GAUSSIAN, 30, 4, 1))
+    x = np.random.default_rng(3).standard_normal(4)
+    a = phi[:12].copy()
+    a[7] *= scale
+    got = pseudo_inverse_apply(a, a @ x)
+    bound = np.linalg.cond(a) * np.finfo(np.float64).eps
+    assert np.linalg.norm(got - x) <= bound * np.linalg.norm(x)
+
+
+def test_pseudo_inverse_matches_lstsq_as_columns_near_dependence():
+    # column 3 set to column 2 plus eps-noise, cond(a) 2e4 to 2e12: the QR
+    # solve stays within 1e-12 of lstsq (7.6e-16 at most, measured), where
+    # a^T a's Cholesky factor was 0.45 off at 1e-8 and 1.0 at 1e-12 and
+    # raised nothing; at eps = 0 the rank rule refuses the set
+    for eps in (1e-4, 1e-7, 1e-8, 1e-9, 1e-12, 0.0):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((12, 4))
+        a[:, 3] = a[:, 2] + eps * rng.standard_normal(12)
+        y = rng.standard_normal(12)
+        if eps == 0.0:
+            with pytest.raises(NotPositiveDefinite, match="rank deficient"):
+                pseudo_inverse_apply(a, y)
+            continue
+        ref = np.linalg.lstsq(a, y, rcond=None)[0]
+        assert np.linalg.norm(pseudo_inverse_apply(a, y) - ref) <= 1e-12 * np.linalg.norm(ref), eps
 
 
 def test_pseudo_inverse_rank_deficient():

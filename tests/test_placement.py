@@ -332,6 +332,22 @@ def test_prefix_is_the_run_at_a_smaller_budget(select):
             full.prefix(bad)
 
 
+@pytest.mark.parametrize("select", [fmbs_select, direct_greedy_select, exhaustive_select])
+def test_memory_layout_changes_no_pick(select):
+    # a Fortran-ordered Phi and row- and column-strided views are copied
+    # C-contiguous before any scoring, so each gives the C-ordered run's
+    # picks and traces bitwise, past depth K too
+    n, k, m = (14, 3, 5) if select is exhaustive_select else (60, 8, 20)
+    phi = np.random.default_rng(35).standard_normal((n, k))
+    baseline = select(phi, m, MU)
+    strided = (np.repeat(phi, 2, axis=0)[::2], np.repeat(phi, 2, axis=1)[:, ::2])
+    for layout in (np.asfortranarray(phi), *strided):
+        assert not layout.flags.c_contiguous
+        result = select(layout, m, MU)
+        assert result.indices == baseline.indices
+        assert result.objective_trace == baseline.objective_trace
+
+
 def test_direct_greedy_worked_example():
     result = direct_greedy_select(PHI3, 2, MU)
     assert result.indices == [0, 1]
@@ -365,7 +381,7 @@ def test_stack_scores_equal_single_matrix_traces(kind):
     # candidate's matrix built alone, the K-space one with np.outer; -0.0
     # entries change no product's bits
     from fmbs.linalg import shifted_gram, trace_inverse
-    from fmbs.placement import _StackBuffers, _extension_traces
+    from fmbs.placement import _extension_traces, _stack_buffers
 
     n, k = 60, 20
     rng = np.random.default_rng(41)
@@ -375,7 +391,8 @@ def test_stack_scores_equal_single_matrix_traces(kind):
         phi = rng.standard_normal((n, k))
         if kind == "negative-zero":
             phi[rng.random((n, k)) < 0.3] = -0.0
-    buffers = _StackBuffers(n, k)
+    # sized for a run at budget k + 4, the deepest base below plus one
+    buffers = _stack_buffers(n, k, k + 4)
     for t in (1, 2, k - 1, k, k + 3):
         base = list(range(0, 2 * t, 2))
         candidates = np.setdiff1d(np.arange(n), base)

@@ -34,6 +34,19 @@ OBJECTIVE_BOUNDS = {
     },
 }
 
+# Largest relative distance of ls_estimate on fmbs's picks from
+# np.linalg.lstsq, per kind, over completed fmbs runs with m >= K: the
+# measured maximum rounded up to a power of ten, the maximum beside each.
+# The estimator solves by the QR of the picked rows; solving through a
+# Cholesky factor of A^T A read 9.7 on scaled-row, and refused 12 sets there
+ESTIMATE_BOUNDS = {
+    "none": 1e-14,           # 8.1e-15
+    "scaled-row": 1e-9,      # 1.1e-10
+    "spread-norms": 1e-13,   # 8.3e-14
+    "duplicate-row": 1e-14,  # 5.6e-15
+    "tiny-rows": 1e-14,      # 2.6e-15
+}
+
 # seed-0 run 284: 36 x 11, one row of norm 2.7e8, mu = 2.66, budget 34;
 # a Cholesky factor of A^T A + mu I left fmbs's objective 0.47 off SVD
 SCALED_ROW_RUN = 284
@@ -80,3 +93,13 @@ def test_scaled_row_border_solve_matches_svd_at_every_depth():
             ref = u @ (sigma / (sigma**2 + mu) * (vt @ phi[i]))
             r = state.candidate_state(int(i)).r
             assert np.linalg.norm(r - ref) <= 1e-12 * np.linalg.norm(ref), (state.depth, int(i))
+
+
+def test_estimator_matches_lstsq_on_fmbs_picks(records):
+    # the estimator refuses none of fmbs's sets on these runs, and is
+    # within each kind's bound on all of them
+    estimates = [r for r in records if "estimate" in r]
+    assert {r["kind"] for r in estimates} == set(search_oracle.KINDS)
+    for r in estimates:
+        assert r["estimate"] is not None, r["run"]
+        assert r["estimate"] <= ESTIMATE_BOUNDS[r["kind"]], (r["run"], r["kind"], r["estimate"])

@@ -24,7 +24,12 @@ builtin error or warning from either, which is a bug.  The tool prints
 the count of each outcome, the runs that hit a bare error, and per method
 and per kind the largest relative distance of a completed run's final
 objective from the same picks' objective computed from their singular
-values.  Needs numpy and the standard library, besides fmbs itself.
+values.  Where fmbs completes with m >= K, the least-squares estimator
+ls_estimate is also run on its picks, with observations y drawn from
+(seed, run) alone, and the tool prints per kind its largest relative
+distance from np.linalg.lstsq and the count of sets it refuses with
+NotPositiveDefinite.  Needs numpy and the standard library, besides fmbs
+itself.
 """
 
 import argparse
@@ -33,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from fmbs import FmbsError, direct_greedy_select, fmbs_select
+from fmbs import FmbsError, NotPositiveDefinite, direct_greedy_select, fmbs_select, ls_estimate
 
 KINDS = ("none", "scaled-row", "spread-norms", "duplicate-row", "tiny-rows")
 METHODS = {"fmbs": fmbs_select, "greedy-direct": direct_greedy_select}
@@ -103,11 +108,28 @@ def svd_objective(phi, indices, mu):
     return (len(indices) - sigma.size) / mu + float(np.sum(1.0 / (sigma**2 + mu)))
 
 
+def estimate_error(phi, indices, seed, run):
+    """Relative distance of ls_estimate on the picked rows from lstsq, or None if it refuses them.
+
+    The observations y are drawn from (seed, run) alone, apart from the
+    instance's stream.
+    """
+    y = np.random.default_rng([seed, run, 1]).standard_normal(len(indices))
+    try:
+        g = ls_estimate(phi, indices, y)
+    except NotPositiveDefinite:
+        return None
+    ref = np.linalg.lstsq(phi[indices], y, rcond=None)[0]
+    return float(np.linalg.norm(g - ref) / np.linalg.norm(ref))
+
+
 def search(seed, runs):
-    """One record per run: its index, kind, outcome, attempts and objective errors.
+    """One record per run: its index, kind, outcome, attempts and errors.
 
     errors maps each method that completed to the relative distance of its
-    final objective from svd_objective of its own picks.
+    final objective from svd_objective of its own picks.  Where fmbs
+    completed with m >= K, the record's "estimate" is estimate_error of
+    fmbs's picks (None for a refused set).
     """
     records = []
     for run in range(runs):
@@ -118,8 +140,11 @@ def search(seed, runs):
             if not isinstance(result, Exception):
                 ref = svd_objective(phi, result.indices, mu)
                 errors[name] = abs(result.objective_trace[-1] - ref) / ref
-        records.append({"run": run, "kind": kind, "outcome": outcome(*attempts.values()),
-                        "attempts": attempts, "errors": errors})
+        record = {"run": run, "kind": kind, "outcome": outcome(*attempts.values()),
+                  "attempts": attempts, "errors": errors}
+        if "fmbs" in errors and m >= phi.shape[1]:
+            record["estimate"] = estimate_error(phi, attempts["fmbs"].indices, seed, run)
+        records.append(record)
     return records
 
 
@@ -149,6 +174,13 @@ def main(argv=None):
             worst = f"{max(errs):.1e}" if errs else "-"
             cells.append(f"{worst} ({len(errs)}/{len(runs)})")
         print(f"{kind:<14}" + "".join(f"  {cell:>22}" for cell in cells))
+    print("\nls_estimate on fmbs's picks, completed runs with m >= K:")
+    print("max |g - lstsq| / |lstsq| (refused/sets)")
+    for kind in KINDS:
+        estimates = [r["estimate"] for r in records if r["kind"] == kind and "estimate" in r]
+        solved = [e for e in estimates if e is not None]
+        worst = f"{max(solved):.1e}" if solved else "-"
+        print(f"{kind:<14}  {worst} ({len(estimates) - len(solved)}/{len(estimates)})")
     return 1 if counts[BARE] else 0
 
 
