@@ -44,7 +44,8 @@ that sizes every blocked loop of the package.  The kernels:
 * ``shifted_qr`` -- from the QR of [a; sqrt(mu) I], which never forms
   a^T a, X = R^{-T} with X^T X = (a^T a + mu I)^{-1}, or the damped
   least-squares solve argmin |a r - f|^2 + mu |r|^2: the fast sampler's
-  switch to K space and its border solves;
+  switch to K space and its border solves, and greedy-direct's K-space
+  scores;
 * ``pseudo_inverse_apply`` -- least squares g = R^{-1} Q^T y from the
   reduced QR of a, which never forms a^T a, raising NotPositiveDefinite
   when min |r_jj| <= max(t, K) eps max |r_jj|;
@@ -60,7 +61,8 @@ The inverse overwrites the factor row by row, so a call holds one
 stack-sized array (two while a factor whose side does not split evenly is
 copied into a padded one).  The full inverse of a symmetric matrix is
 formed only where a caller asks for one: block_inverse_update returns it,
-and the fast sampler's switch to K space builds X^T X.
+and the fast sampler's switch to K space and greedy-direct's K-space
+scores build X^T X.
 """
 
 import numpy as np
@@ -70,8 +72,9 @@ from .errors import (DegenerateSchur, DimensionError, InvalidParameter, InvalidS
 
 # Float64 entries (256 KB) per block of every blocked loop of the package:
 # a row block of Phi Ninv at the fast sampler's switch to K space, a stack
-# of candidate matrices in greedy-direct's _extension_traces, with the
-# candidate rows it gathers, and a chunk of noise draws in
+# of candidate matrices (past depth K, a row block of candidate rows times
+# Ninv) in greedy-direct's _extension_traces, with the candidate rows it
+# gathers, and a chunk of noise draws in
 # monte_carlo_mse, counted at |S| entries per trial.  Each loop holds
 # about one block at a time, so on top of the O(N + K^2) state of the
 # samplers the transient memory does not grow with Phi or with the trial

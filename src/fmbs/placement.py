@@ -46,16 +46,22 @@ is up to 1/mu, so at a tiny mu (rows of norm 1e-110 at mu = 1e-250) the
 K-space products can overflow: DegenerateSchur is raised there when the
 winner's score is masked or the objective is not finite.
 
-``direct_greedy_select`` makes the same greedy decisions but evaluates every
-candidate by explicit factorization, at O(min(t+1, K)^3) per candidate:
-the bordered (t+1) x (t+1) submatrix up to depth K, and past it the K x K
-shifted normal matrix, whose trace of inverse differs from the submatrix
-objective by the constant (t + 1 - K)/mu.  The K x K form keeps the 1/mu
-term out of the factorization, so the oracle stays well-conditioned at any
-mu > 0.  Candidates are gathered and factored in stacks of one block,
-written into buffers allocated once per run, so the oracle's transient
-memory is bounded too and a step allocates little beyond each stack's
-Cholesky factor.  It is deliberately kept independent of the fast path.
+``direct_greedy_select`` makes the same greedy decisions but scores every
+candidate afresh from the selected rows: up to depth K by factoring its
+bordered (t+1) x (t+1) submatrix, at O((t+1)^3) per candidate, and past
+it by the trace of the inverse of the K x K shifted normal matrix
+N + phi_i phi_i^T, N = A^T A + mu I, which differs from the submatrix
+objective by the constant (t + 1 - K)/mu.  That trace is taken by
+Sherman-Morrison as tr(Ninv) minus the K-space gain, with Ninv from one
+QR of [A; sqrt(mu) I] per step (linalg.shifted_qr), at O(K^2) per
+candidate: no A^T A is formed, and the 1/mu term stays out of the score,
+so the oracle stays well-conditioned at any mu > 0.  The gain's d_i and
+|v_i|^2 come from _k_space_terms, the row-block kernel of the switch to K
+space.  Candidates are gathered, and their stacks factored or their
+products with Ninv formed, in blocks written into buffers allocated once
+per run, so the oracle's transient memory is bounded too.  Nothing but
+the selected indices is carried from one step to the next, so it checks
+the fast path's carried state: its folds and its downdates of Ninv.
 ``exhaustive_select`` and ``random_select`` provide the optimal and the
 weak reference baselines.
 
@@ -106,6 +112,22 @@ def _pick(score, offset=0.0):
     """
     best = float(score[score.argmin()])
     return int((score <= min(best + _TIE * abs(offset + best), _MASKED)).argmax())
+
+
+def _k_space_terms(rows, v, d, e, gain=False):
+    """d_i = phi_i . v_i and e_i = |v_i|^2 over a row block and its products v = rows Ninv.
+
+    The one K-space kernel: fmbs's switch takes a = 1 + d and b = -e from
+    it, and greedy-direct's scores past depth K take e with gain, which
+    first divides each v_i in place by sqrt(1 + d_i), as _downdate_ninv
+    forms u, so that e_i is the K-space gain |v_i|^2 / (1 + d_i) and stays
+    finite wherever that gain is, also where |v_i|^2 overflows.  With
+    gain, d may be e itself.  Every term is formed from its own row alone.
+    """
+    np.einsum("ij,ij->i", v, rows, out=d)
+    if gain:
+        v /= np.sqrt(d + 1.0)[:, None]
+    np.einsum("ij,ij->i", v, v, out=e)
 
 
 def _check_budget(m, n):
@@ -427,8 +449,7 @@ class GreedyState:
         for lo in range(0, n, step):
             rows = self.phi[lo : lo + step]
             v = np.matmul(rows, self._ninv, out=block[: rows.shape[0]])
-            np.einsum("ij,ij->i", v, rows, out=self._a[lo : lo + step])
-            np.einsum("ij,ij->i", v, v, out=self._b[lo : lo + step])
+            _k_space_terms(rows, v, self._a[lo : lo + step], self._b[lo : lo + step])
         self._a += 1.0
         np.negative(self._b, out=self._b)
         self._basis = self._g = None
@@ -461,65 +482,80 @@ def _stack_buffers(n, k, m):
     rows holds one block of gathered candidate rows (at most N of them, at
     least one).  stack is flat, with room for len(rows) matrices of side
     s = min(m, K), capped at one block, or one matrix where that is larger:
-    a stack's batch is at most len(rows) and its side at most s, so that
-    bounds every stack a run forms.
+    a bordered stack's batch is at most len(rows) and its side at most s,
+    so that bounds every stack a run forms.  Past depth K (s = K) it holds
+    the len(rows) x K products of those rows with Ninv instead, which fit
+    in it too.
     """
     rows = np.empty((min(n, max(1, _BLOCK_ENTRIES // k)), k))
     s = min(m, k)
     return rows, np.empty(min(len(rows) * s * s, max(_BLOCK_ENTRIES, s * s)))
 
 
+# Ninv is up to 1/mu, so at a tiny mu the K-space products can overflow;
+# the check at the end names that, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _extension_traces(phi, base, candidates, mu, buffers):
     """Trace scores of the row set base + [i] for every candidate row i.
 
     With t = len(base) and A = phi[base], while t + 1 <= K each score is
     the trace of the inverse of the bordered (t+1) x (t+1) principal
-    submatrix of Phi Phi^T + mu I, the submatrix objective itself.  Past
-    that it is the trace of the inverse of the K x K matrix
-    A^T A + mu I + phi_i phi_i^T, which falls short of the submatrix
-    objective by exactly (t + 1 - K)/mu; the caller adds that constant.
-    The matrices are built in stacks of at most _BLOCK_ENTRIES entries,
+    submatrix of Phi Phi^T + mu I, the submatrix objective itself.  These
+    matrices are built in stacks of at most _BLOCK_ENTRIES entries,
     counting max(side^2, K) per candidate so that the gathered candidate
     rows fit in a block as well as the stack (one candidate per stack once
     a single matrix is larger), and each stack is factored by one
-    trace_inverse call.  Rows and stacks are written in place into the
-    run's _stack_buffers, so a run allocates them once, not once per call.
-    Neither a candidate's matrix nor its trace depends on the stack it
-    falls in, so its score is bitwise the same for any stack size.
+    trace_inverse call.  Past that the score is the trace of the inverse
+    of the K x K matrix N + phi_i phi_i^T, N = A^T A + mu I, which falls
+    short of the submatrix objective by exactly (t + 1 - K)/mu; the caller
+    adds that constant.  No such matrix is formed: by Sherman-Morrison the
+    score is tr(Ninv) minus the K-space gain |Ninv phi_i|^2 / (1 + d_i),
+    d_i = phi_i . Ninv phi_i, from _k_space_terms over blocks of candidate
+    rows, with Ninv = X^T X from one shifted_qr of A per call, which never
+    forms A^T A.  A score that is not finite raises DegenerateSchur naming
+    the step and the candidate.  Rows, stacks and row blocks of Ninv
+    products are written in place into the run's _stack_buffers, so a run
+    allocates them once, not once per call.  No candidate's matrix, trace
+    or gain depends on the block it falls in, so its score is bitwise the
+    same for any block size.
     """
     t, k = len(base), phi.shape[1]
     a = phi[base]
-    side = min(t + 1, k)
-    batch = min(candidates.size, max(1, _BLOCK_ENTRIES // max(side**2, k)))
-    # every matrix of a stack shares the part fixed by base; only the
-    # candidate's own terms change from one to the next
     rows_buffer, stack_buffer = buffers
-    q = stack_buffer[: batch * side * side].reshape(batch, side, side)
-    if t + 1 <= k:
-        q[:, :t, :t] = shifted_gram(a.T, mu)
+    if t + 1 > k:
+        x = shifted_qr(a, mu)
+        ninv = x.T @ x
+        q = stack_buffer[: len(rows_buffer) * k].reshape(-1, 1, k)
     else:
-        normal = shifted_gram(a, mu)
+        batch = min(candidates.size, max(1, _BLOCK_ENTRIES // max((t + 1) ** 2, k)))
+        q = stack_buffer[: batch * (t + 1) ** 2].reshape(batch, t + 1, t + 1)
+        # every matrix of a stack shares the part fixed by base; only the
+        # candidate's own terms change from one to the next
+        q[:, :t, :t] = shifted_gram(a.T, mu)
     vals = np.empty(candidates.size)
-    for lo in range(0, candidates.size, batch):
+    for lo in range(0, candidates.size, len(q)):
         # gathered in place; mode="clip" (the indices are in range) because
         # the default mode="raise" copies through a second buffer
-        chunk = candidates[lo : lo + batch]
+        chunk = candidates[lo : lo + len(q)]
         rows = np.take(phi, chunk, axis=0, out=rows_buffer[: chunk.size], mode="clip")
-        stack = q[: rows.shape[0]]
-        if t + 1 <= k:
-            # one vector-matrix product per candidate, so a candidate's
-            # border does not depend on the stack it falls in
-            border = (rows[:, None, :] @ a.T)[:, 0]
-            stack[:, :t, t] = border
-            stack[:, t, :t] = border
-            stack[:, t, t] = np.einsum("ij,ij->i", rows, rows) + mu
-        else:
-            # one product per entry, so bitwise the broadcast multiply, in
-            # about half its time: 17 against 33 us at 81 x 20, 22 against
-            # 41 at 327 x 10 (numpy 2.4, 2 vCPUs)
-            np.einsum("bi,bj->bij", rows, rows, out=stack)
-            stack += normal
-        vals[lo : lo + rows.shape[0]] = trace_inverse(stack)
+        stack, out = q[: chunk.size], vals[lo : lo + chunk.size]
+        # one vector-matrix product per candidate, so that neither its
+        # border nor its row of Ninv depends on the stack it falls in (a
+        # product of several rows, gemm, differs from one row's, gemv, in
+        # the last bits, and at some K with the number of rows)
+        if t + 1 > k:
+            _k_space_terms(rows, np.matmul(rows[:, None, :], ninv, out=stack)[:, 0], out, out, gain=True)
+            continue
+        border = (rows[:, None, :] @ a.T)[:, 0]
+        stack[:, :t, t] = border
+        stack[:, t, :t] = border
+        stack[:, t, t] = np.einsum("ij,ij->i", rows, rows) + mu
+        out[:] = trace_inverse(stack)
+    if t + 1 > k:
+        np.subtract(ninv.trace(), vals, out=vals)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise DegenerateSchur(f"step {t}: candidate {candidates[bad[0]]} scores {vals[bad[0]]}, not finite")
     return vals
 
 
@@ -532,21 +568,22 @@ def _trace_entry(val, t, k, mu):
 
 
 def direct_greedy_select(phi, m, mu):
-    """Greedy selection evaluating every candidate by explicit factorization.
+    """Greedy selection scoring every candidate afresh from the selected rows.
 
     Same selection rule as fmbs_select, through _pick, so exact ties go to
     the smallest index, but each candidate is scored from scratch by
     _extension_traces: the bordered (t+1) x (t+1) submatrix while
-    t + 1 <= K, the K x K shifted normal matrix past it.  It checks no
+    t + 1 <= K, at O(min(t+1, K)^3) per candidate, and past it
+    tr(Ninv) minus the candidate's K-space gain, at one QR of
+    [A; sqrt(mu) I] per step plus O(K^2) per candidate.  It checks no
     Schur floor: where every candidate is degenerate, and fmbs raises
-    DegenerateSchur, it returns the pick that rounding decides.  A
-    candidate costs O(min(t+1, K)^3), and nothing is carried from one step
-    to the next but the selected indices, so it stays an independent
-    correctness oracle for fmbs_select.  Past depth K the K x K matrix is
-    at least mu I in exact arithmetic, but it is formed from A^T A: where
-    a large row's entries swamp mu in rounding, it can raise
-    NotPositiveDefinite or mis-score a pick far outside a tie, on input
-    where fmbs_select completes and picks right.
+    DegenerateSchur, it returns the pick that rounding decides.  Nothing
+    is carried from one step to the next but the selected indices, so it
+    stays an independent correctness oracle for fmbs_select's carried
+    state.  Past depth K no A^T A is formed, so a row of large norm does
+    not swamp mu there.  Below it the bordered A A^T + mu I is: where one
+    candidate's matrix is singular to rounding, its stack raises
+    NotPositiveDefinite, on input where fmbs_select completes.
     """
     start = time.perf_counter_ns()
     phi, m, mu, q_diag = _prepare(phi, m, mu)
@@ -580,12 +617,13 @@ def exhaustive_select(phi, m, mu):
     are equal in exact arithmetic, such as two holding the same rows
     through a copied row: their rows are factored in different orders, so
     their scores differ by rounding only.  The subsets sharing their first
-    m - 1 rows are scored together by _extension_traces, so past m = K a subset is
-    scored in the K x K form, which drops the constant (m - K)/mu common
-    to all of them.  Each prefix of the winner is scored for the objective
-    trace as greedy-direct scores a step, by _extension_traces plus that
-    constant, so no entry factors a matrix swamped by its 1/mu term.
-    Guarded by EXHAUSTIVE_LIMIT.
+    m - 1 rows are scored together by _extension_traces, so past m = K a
+    subset scores tr(Ninv) of its prefix minus its last row's K-space
+    gain, which drops the constant (m - K)/mu common to all of them.  Each
+    prefix of the winner is scored for the objective trace as
+    greedy-direct scores a step, by _extension_traces plus that constant,
+    so no entry factors a matrix swamped by its 1/mu term.  Guarded by
+    EXHAUSTIVE_LIMIT.
     """
     phi, m, mu, _ = _prepare(phi, m, mu)
     n, k = phi.shape

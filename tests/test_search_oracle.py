@@ -23,15 +23,12 @@ OBJECTIVE_BOUNDS = {
     # never forms A^T A: 2.2e-15 (spread-norms), 5.0e-16 (scaled-row),
     # 1.2e-15 (tiny-rows), 9.8e-16 (duplicate-row), 6.9e-16 (none)
     "fmbs": dict.fromkeys(search_oracle.KINDS, 1e-12),
-    "greedy-direct": {
-        "none": 1e-12,           # 5.0e-16
-        "duplicate-row": 1e-12,  # 6.2e-16
-        "tiny-rows": 1e-12,      # 5.4e-16
-        "spread-norms": 1e-6,    # 5.2e-8
-        # its K-space stacks factor A^T A + mu I + phi_i phi_i^T, which
-        # squares a scaled row's norm: 7.7e-2 (run 49)
-        "scaled-row": 0.1,
-    },
+    # past depth K it scores tr(Ninv) minus each candidate's K-space gain,
+    # with Ninv from the same QR: 1.8e-15 (spread-norms), 6.2e-16
+    # (duplicate-row), 5.4e-16 (tiny-rows), 5.0e-16 (none), 4.0e-16
+    # (scaled-row); factoring A^T A + mu I + phi_i phi_i^T per candidate
+    # read 7.7e-2 on scaled-row and 5.2e-8 on spread-norms
+    "greedy-direct": dict.fromkeys(search_oracle.KINDS, 1e-12),
 }
 
 # Largest relative distance of ls_estimate on fmbs's picks from
@@ -46,6 +43,14 @@ ESTIMATE_BOUNDS = {
     "duplicate-row": 1e-14,  # 5.6e-15
     "tiny-rows": 1e-14,      # 2.6e-15
 }
+
+# seed-0 scaled-row runs where greedy-direct raised NotPositiveDefinite at
+# its first K-space step, while it factored A^T A + mu I + phi_i phi_i^T
+K_SPACE_RAISES = (4, 34, 72, 83, 97, 155, 199, 206, 217, 256, 268, 283, 284, 302)
+
+# seed-0 runs whose picks may part: at each, the two methods' picks at the
+# parting step score within about a tie width, or tie exactly by symmetry
+NEAR_TIES = {56, 59, 76, 123, 152, 190, 212, 232, 241, 248, 278}
 
 # seed-0 run 284: 36 x 11, one row of norm 2.7e8, mu = 2.66, budget 34;
 # a Cholesky factor of A^T A + mu I left fmbs's objective 0.47 off SVD
@@ -67,6 +72,18 @@ def test_search_finds_no_bare_error_and_bounded_objectives(records):
     # with a Schur floor relative to q_ii, that is fmbs's only DegenerateSchur
     refusals = [str(a) for a in (r["attempts"]["fmbs"] for r in records) if isinstance(a, DegenerateSchur)]
     assert refusals and all("K-space state overflowed" in msg for msg in refusals)
+
+
+def test_greedy_direct_completes_past_depth_k(records):
+    # scored from one QR of [A; sqrt(mu) I] per step, no K-space stack is
+    # factored, so these runs complete, with fmbs's picks
+    for run in K_SPACE_RAISES:
+        assert records[run]["outcome"] == "same picks", (run, records[run]["outcome"])
+
+
+def test_picks_part_only_at_near_ties(records):
+    parted = {r["run"] for r in records if r["outcome"] == "picks differ"}
+    assert parted <= NEAR_TIES, sorted(parted - NEAR_TIES)
 
 
 def test_fmbs_factors_no_gram_matrix(records):

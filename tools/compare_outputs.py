@@ -10,9 +10,11 @@ own temporary copy as tools/bench_pairs.py exports them.  Each side runs
 COMMANDS in order with ``python -m fmbs``, from an empty output directory
 of its own and with relative paths, so that later commands read the
 matrices earlier ones wrote: ``gen`` for both models, ``place`` with every
-scoring method on Gaussian and Bernoulli matrices, ``bench --details-out``
-on both models (and a model-2 random sweep that draws a rank-deficient set),
-one ``scaling`` sweep, and a ``place`` and a ``bench`` at K above 32.  Then
+scoring method on Gaussian and Bernoulli matrices, and with both greedy
+methods at mu = 100, where a trace entry past depth K keeps the last bits
+of its K-space part, ``bench --details-out`` on both models (and a model-2
+random sweep that draws a rank-deficient set), one ``scaling`` sweep, and
+a ``place`` and a ``bench`` at K above 32.  Then
 every output file, each command's standard output and its exit code are
 compared; a command that exits non-zero, or leaves a named output
 unwritten, on both sides has compared nothing and counts as differing.
@@ -45,6 +47,10 @@ COMMANDS = [
     *(f"place --matrix {name}.bin --budget 60 --method {method} --seed 6 --out {name}-{method}.json"
       for name in ("gauss", "bern") for method in ("fmbs", "greedy-direct", "random")),
     "place --matrix small.csv --budget 6 --method exhaustive --out small-exhaustive.json",
+    # at the default mu = 1e-4 each trace entry past depth K adds (t + 1 - K)/mu >= 1e4,
+    # which absorbs the last bits of the K-space part; at mu = 100 they show
+    *(f"place --matrix gauss.bin --budget 60 --method {method} --mu 100 --out gauss-{method}-mu100.json"
+      for method in ("fmbs", "greedy-direct")),
     *(f"bench --model {model} --n 120 --k 10 --budgets 10:25:5 --trials 3 --seed 7 "
       f"--methods fmbs,greedy-direct,random --out bench{model}.csv --details-out bench{model}.json"
       for model in (1, 2)),
