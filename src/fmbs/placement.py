@@ -168,13 +168,27 @@ def shifted_normal_objective(phi, s, mu):
     K x K gram matrix of the rows of phi indexed by s.
     """
     a = sample_rows(phi, s)
-    return trace_inverse(shifted_gram(a, as_shift(mu)))
+    return trace_inverse(_summed_gram(a, as_shift(mu)))
 
 
 def submatrix_objective(phi, s, mu):
     """Trace of the inverse principal submatrix of Phi Phi^T + mu I indexed by s."""
     a = sample_rows(phi, s)
-    return trace_inverse(shifted_gram(a.T, as_shift(mu)))
+    return trace_inverse(_summed_gram(a.T, as_shift(mu)))
+
+
+def _summed_gram(a, mu):
+    """a^T a + mu I summed by np.einsum, for the from-scratch objectives.
+
+    Not BLAS: at 120 x 100 OpenBLAS (0.3.31, 2 threads) runs a^T a as a
+    threaded syrk, which left its worker spinning for ~0.12 s of a core
+    after each call, and a fresh process started within that time ran
+    slower on a 2-vCPU host.  einsum takes ~0.5 ms there, starts no thread,
+    and gives an exactly symmetric matrix at any BLAS thread count.
+    """
+    gram = np.einsum("ji,jk->ik", a, a)
+    gram[np.diag_indices_from(gram)] += mu
+    return gram
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,21 @@ def test_submatrix_matches_shifted_plus_constant():
     assert abs(lhs - rhs) <= 1e-8 * lhs
 
 
+def test_objectives_sum_an_exactly_symmetric_gram():
+    # the objectives form their gram by einsum, not BLAS; at 120 x 100 a
+    # threaded syrk left its worker spinning after the call
+    from fmbs.placement import _summed_gram
+
+    phi = np.random.default_rng(11).standard_normal((1000, 100))
+    s = list(range(0, 1000, 8))[:120]
+    gram = _summed_gram(phi[s].T, MU)
+    assert np.array_equal(gram, gram.T)
+    assert submatrix_objective(phi, s, MU) == pytest.approx(submatrix_objective_brute(phi, s, MU), rel=1e-10)
+    a = phi[s]
+    expected = trace_inverse_brute(a.T @ a + MU * np.eye(100))
+    assert shifted_normal_objective(phi, s, MU) == pytest.approx(expected, rel=1e-10)
+
+
 def test_objective_validation():
     with pytest.raises(ValueError):
         submatrix_objective(PHI3, [0, 0], MU)
