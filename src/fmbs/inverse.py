@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import (_BLOCK_ENTRIES, as_count, as_seed, as_variance, as_vector, pseudo_inverse_apply,
-                     sample_rows, shifted_gram, trace_inverse)
+                     sample_rows, trace_inverse)
 
 
 def ls_estimate(phi, s, y):
@@ -37,7 +37,7 @@ def expected_mse(phi, s, sigma2):
     sigma2 = as_variance(sigma2)
     if a.shape[0] < a.shape[1]:
         raise DimensionError(f"need at least {a.shape[1]} samples, got {a.shape[0]}")
-    return sigma2 * trace_inverse(shifted_gram(a, 0.0))
+    return sigma2 * trace_inverse(a.T @ a)
 
 
 def monte_carlo_mse(phi, s, g, sigma2, trials, seed):

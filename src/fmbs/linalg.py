@@ -3,7 +3,7 @@
 Everything operates on float64 numpy arrays through ``numpy.linalg``'s
 Cholesky and QR factorizations alone, so a process loads a single BLAS,
 and every routine is a pure function of its inputs.  This is the one
-module that forms a shifted Gram matrix or consumes its factor.
+module that factors a matrix or consumes its factor.
 
 It also holds the two decisions the sampler and the estimators share.
 Checked inputs: ``as_matrix``, ``as_vector`` and ``as_sample_set`` turn a
@@ -31,21 +31,17 @@ as_seed("3") reads "got '3'", not "got 3".
 the selected rows.  Transient memory: ``_BLOCK_ENTRIES`` is the one block
 that sizes every blocked loop of the package.  The kernels:
 
-* ``shifted_gram`` -- a^T a + mu I, the shifted normal matrix of a's rows
-  (given a^T, the shifted submatrix a a^T + mu I);
 * ``cholesky`` -- the lower Cholesky factor of one symmetric
   positive-definite matrix or of a stack of them, raising
   NotPositiveDefinite when any member is not;
 * ``invert_lower`` -- the inverse X = L^{-1} of a lower-triangular factor
   or of a stack of them, the one triangular kernel;
-* ``trace_inverse`` -- tr(A^{-1}) as the squared Frobenius norm of L^{-1}
-  for A = L L^T, over the last two axes, so one call scores a whole stack
-  of candidate submatrices;
+* ``trace_inverse`` -- tr(A^{-1}) of one matrix, as the squared Frobenius
+  norm of L^{-1} for A = L L^T;
 * ``shifted_qr`` -- from the QR of [a; sqrt(mu) I], which never forms
-  a^T a, X = R^{-T} with X^T X = (a^T a + mu I)^{-1}, or the damped
-  least-squares solve argmin |a r - f|^2 + mu |r|^2: the fast sampler's
-  switch to K space and its border solves, and greedy-direct's K-space
-  scores;
+  a^T a, X = R^{-T} with X^T X = (a^T a + mu I)^{-1}, and on request the
+  block Q_a = a R^{-1} of the reduced Q: the fast sampler's switch to K
+  space and its border solves, and every greedy-direct score;
 * ``pseudo_inverse_apply`` -- least squares g = R^{-1} Q^T y from the
   reduced QR of a, which never forms a^T a, raising NotPositiveDefinite
   when min |r_jj| <= max(t, K) eps max |r_jj|;
@@ -55,11 +51,11 @@ that sizes every blocked loop of the package.  The kernels:
 No LAPACK solve or inverse is called: a factor (a Cholesky factor, or
 the transpose of a QR factor) is inverted by forward substitution in
 invert_lower, one row at a time as one batched matrix product over every
-diagonal block of every stack member, with gemm for the panels below the
-diagonal blocks of a side larger than _ROW_BLOCK.
+diagonal block, with gemm for the panels below the diagonal blocks of a
+side larger than _ROW_BLOCK.
 The inverse overwrites the factor row by row, so a call holds one
-stack-sized array (two while a factor whose side does not split evenly is
-copied into a padded one).  The full inverse of a symmetric matrix is
+factor-sized array (two while a factor whose side does not split evenly
+is copied into a padded one).  The full inverse of a symmetric matrix is
 formed only where a caller asks for one: block_inverse_update returns it,
 and the fast sampler's switch to K space and greedy-direct's K-space
 scores build X^T X.
@@ -71,10 +67,10 @@ from .errors import (DegenerateSchur, DimensionError, InvalidParameter, InvalidS
                      NotPositiveDefinite)
 
 # Float64 entries (256 KB) per block of every blocked loop of the package:
-# a row block of Phi Ninv at the fast sampler's switch to K space, a stack
-# of candidate matrices (past depth K, a row block of candidate rows times
-# Ninv) in greedy-direct's _extension_traces, with the candidate rows it
-# gathers, and a chunk of noise draws in
+# a row block of Phi Ninv at the fast sampler's switch to K space, a row
+# block of candidate rows with their products (c_i = Q_a^T phi_i, r_i and
+# Q_a c_i below depth K, Ninv phi_i past it) in greedy-direct's
+# _extension_traces, and a chunk of noise draws in
 # monte_carlo_mse, counted at |S| entries per trial.  Each loop holds
 # about one block at a time, so on top of the O(N + K^2) state of the
 # samplers the transient memory does not grow with Phi or with the trial
@@ -83,24 +79,18 @@ from .errors import (DegenerateSchur, DimensionError, InvalidParameter, InvalidS
 # does not change any sampler result bitwise, nor a Monte-Carlo draw.
 # Timed on direct_greedy_select at N/K/M = 500/20/60 (three Gaussian
 # matrices, 7 rounds, sizes interleaved; 2 vCPUs, OpenBLAS 0.3.31),
-# median per call: 2**12 177 ms, 2**13 121, 2**14 94, 2**15 78, 2**16 84
-# while each call allocated its stack, the step up at 2**16 being
-# glibc's allocator (with MALLOC_MMAP_THRESHOLD_ and
-# MALLOC_TRIM_THRESHOLD_ raised, 2**16 took 71 ms).  With the rows and
-# stack buffers allocated once per run, so that a stack allocates only
-# its factor: 2**13 121 ms, 2**14 92, 2**15 77, 2**16 70, 2**17 71.
-# 2**16 would gain 9% on that run but double the block every loop holds,
-# past the traced-peak bounds the tests set, so the block stays 2**15.
+# median per call: 2**12 18.4 ms, 2**13 15.1, 2**14 14.1, 2**15 13.1,
+# 2**16 12.3, 2**17 12.2.  2**16 would gain 6% on that run but double
+# the block every loop holds, so the block stays 2**15.
 _BLOCK_ENTRIES = 1 << 15
 
 # Row-block cap of the triangular inverse in invert_lower: a side up to
 # this is one sweep of row products, a larger one is split into equal
 # blocks.  Median of 7 rounds per call (2 vCPUs, OpenBLAS 0.3.31), caps
 # 16/20/25/32/50/64: side 100 122/114/122/123/162/163 us, side 120
-# 141/141/144/155/170/210 us, side 64 70/69/82/95/90/141 us, a stack of
-# 40 matrices of side 20 136-143 us at every cap.  32 keeps every
-# greedy-direct stack up to K = 32 a single sweep, within 10% of the
-# best cap at sides 100 and 120.
+# 141/141/144/155/170/210 us, side 64 70/69/82/95/90/141 us.  32 keeps
+# every factor of side up to 32 a single sweep, within 10% of the best
+# cap at sides 100 and 120.
 _ROW_BLOCK = 32
 
 
@@ -124,9 +114,7 @@ def _check_finite(a):
     if a.ndim == 1:
         where = f"vector entry at index {pos[0]}"
     else:
-        where = f"matrix entry at row {pos[-2]}, column {pos[-1]}"
-        if a.ndim > 2:
-            where += f" of stack member {pos[:-2]}"
+        where = f"matrix entry at row {pos[0]}, column {pos[1]}"
     raise NonFiniteInput(f"{where} is {a[pos]}, not finite")
 
 
@@ -273,16 +261,6 @@ def schur_threshold(q_ii):
     return 1e-12 * q_ii
 
 
-def shifted_gram(a, mu):
-    """Shifted Gram matrix a^T a + mu I of the rows of a.
-
-    Given a^T, it is the shifted submatrix a a^T + mu I instead.
-    """
-    gram = a.T @ a
-    gram[np.diag_indices_from(gram)] += mu
-    return gram
-
-
 def cholesky(a):
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
@@ -350,45 +328,37 @@ def invert_lower(low):
     return low[..., :side, :side]
 
 
-def shifted_qr(a, mu, f=None):
-    """Triangular inverse, or damped least-squares solve, from the QR of [a; sqrt(mu) I].
+def shifted_qr(a, mu, with_q=False):
+    """Triangular inverse X = R^{-T} from the QR of [a; sqrt(mu) I], and on request Q_a.
 
     a^T a is never formed, so the error grows with the condition number of
-    the stack, not with its square.  Without f, returns X = R^{-T} for the
-    triangular factor R of the stack, so X^T X = (a^T a + mu I)^{-1}.  With
-    f, returns the r that minimizes |a r - f|^2 + mu |r|^2: the stack is
-    bordered by the column [f; 0], the factor's last column then holds
-    Q^T [f; 0] above its corner, and r = R^{-1} Q^T [f; 0].  Neither
-    result depends on the signs of R's rows.  Only the factor is computed
-    (mode="r"): Q would be a second stack-sized array.
+    the stack, not with its square.  X^T X = (a^T a + mu I)^{-1}.  Without
+    with_q only the factor is computed (mode="r") and X is returned.  With
+    it, (Q_a, X) is returned, where Q_a = a R^{-1} is the block of the
+    reduced Q facing a (the other block is sqrt(mu) X^T); then
+    r = X^T Q_a^T f minimizes |a r - f|^2 + mu |r|^2.  Neither X^T X nor
+    X^T Q_a^T depends on the signs of R's rows.
     """
-    k = a.shape[1]
-    top = a if f is None else np.column_stack([a, f])
-    r = np.linalg.qr(np.vstack([top, np.sqrt(mu) * np.eye(k, top.shape[1])]), mode="r")
-    x = invert_lower(np.ascontiguousarray(r[:k, :k].T))
-    return x if f is None else x.T @ r[:k, k]
+    stack = np.vstack([a, np.sqrt(mu) * np.eye(a.shape[1])])
+    if not with_q:
+        return invert_lower(np.ascontiguousarray(np.linalg.qr(stack, mode="r").T))
+    q, r = np.linalg.qr(stack)
+    return q[: a.shape[0]], invert_lower(np.ascontiguousarray(r.T))
 
 
 def trace_inverse(a):
     """Trace of the inverse of a symmetric positive-definite matrix.
 
     Factors a = L L^T and returns the squared Frobenius norm of
-    X = invert_lower(L), which equals sum_k 1/lambda_k.  A stack of
-    matrices (any leading axes, square last two axes) gives an array of
-    traces, one per matrix; a single matrix gives a float.  A member's
-    trace is bitwise the same whatever stack it is scored in, and equal to
-    a single-matrix call on it.
+    X = invert_lower(L), which equals sum_k 1/lambda_k.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
-        raise DimensionError(f"expected a nonempty square matrix or a stack of them, got {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionError(f"expected a nonempty square matrix, got {a.shape}")
     _check_finite(a)
     x = invert_lower(cholesky(a))
-    # not einsum: its buffered reduction splits a matrix of more than 8192
-    # entries at offsets that depend on its place in the stack
     np.square(x, out=x)
-    traces = x.sum(axis=(-2, -1))
-    return float(traces) if a.ndim == 2 else traces
+    return float(x.sum())
 
 
 def block_inverse_update(q_inv, p, q_ii):

@@ -47,21 +47,23 @@ K-space products can overflow: DegenerateSchur is raised there when the
 winner's score is masked or the objective is not finite.
 
 ``direct_greedy_select`` makes the same greedy decisions but scores every
-candidate afresh from the selected rows: up to depth K by factoring its
-bordered (t+1) x (t+1) submatrix, at O((t+1)^3) per candidate, and past
-it by the trace of the inverse of the K x K shifted normal matrix
-N + phi_i phi_i^T, N = A^T A + mu I, which differs from the submatrix
-objective by the constant (t + 1 - K)/mu.  That trace is taken by
-Sherman-Morrison as tr(Ninv) minus the K-space gain, with Ninv from one
-QR of [A; sqrt(mu) I] per step (linalg.shifted_qr), at O(K^2) per
-candidate: no A^T A is formed, and the 1/mu term stays out of the score,
-so the oracle stays well-conditioned at any mu > 0.  The gain's d_i and
-|v_i|^2 come from _k_space_terms, the row-block kernel of the switch to K
-space.  Candidates are gathered, and their stacks factored or their
-products with Ninv formed, in blocks written into buffers allocated once
-per run, so the oracle's transient memory is bounded too.  Nothing but
-the selected indices is carried from one step to the next, so it checks
-the fast path's carried state: its folds and its downdates of Ninv.
+candidate afresh from the selected rows, from one QR per step
+(linalg.shifted_qr).  Up to depth K that is the QR of [A^T; sqrt(mu) I],
+and a candidate scores the paper's tr(Q_S^{-1}) + (|r_i|^2 + 1) / h_i,
+with r_i and h_i formed from the QR's factors, at O(t K) per candidate.
+Past it the score is the trace of the inverse of the K x K shifted
+normal matrix N + phi_i phi_i^T, N = A^T A + mu I, which differs from the
+submatrix objective by the constant (t + 1 - K)/mu.  That trace is taken
+by Sherman-Morrison as tr(Ninv) minus the K-space gain, with Ninv from
+the QR of [A; sqrt(mu) I], at O(K^2) per candidate, so the 1/mu term
+stays out of the score.  The gain's d_i and |v_i|^2 come from
+_k_space_terms, the row-block kernel of the switch to K space.  Neither
+regime forms A A^T or A^T A, so the oracle stays well-conditioned at any
+mu > 0.  Candidates are gathered, and their products formed, in row
+blocks written into buffers allocated once per run, so the oracle's
+transient memory is bounded too.  Nothing but the selected indices is
+carried from one step to the next, so it checks the fast path's carried
+state: its folds and its downdates of Ninv.
 ``exhaustive_select`` and ``random_select`` provide the optimal and the
 weak reference baselines.
 
@@ -82,7 +84,7 @@ import numpy as np
 
 from .errors import BudgetError, DegenerateSchur, InvalidParameter, InvalidSampleSet, NonFiniteInput, TooLarge
 from .linalg import (_BLOCK_ENTRIES, _shown, as_count, as_matrix, as_seed, as_shift, is_integral, sample_rows,
-                     schur_threshold, shifted_gram, shifted_qr, trace_inverse)
+                     schur_threshold, shifted_qr, trace_inverse)
 
 EXHAUSTIVE_LIMIT = 1_000_000
 
@@ -292,9 +294,9 @@ class GreedyState:
     paper's p, r and h: h from the carried a, the cost from the step's
     masked score, kept until the next fold (+inf where the carried h is
     not positive), and p = A phi_i and r = Q_S^{-1} p afresh from the
-    selected rows A, on request only: r minimizes
-    |A^T r - phi_i|^2 + mu |r|^2, solved from the QR of [A^T; sqrt(mu) I]
-    at every depth.
+    selected rows A, on request only: r = X^T Q_a^T phi_i from the QR of
+    [A^T; sqrt(mu) I] at every depth, the r_i greedy-direct scores below
+    depth K.
     """
 
     def __init__(self, phi, budget, mu):
@@ -349,11 +351,12 @@ class GreedyState:
     def _border_solve(self, i):
         """Border p_i and a fresh solve r_i = Q_S^{-1} p_i against selected[:depth].
 
-        r_i minimizes |A^T r - phi_i|^2 + mu |r|^2, whose normal equations
-        are Q_S r = p_i, so one QR serves every depth.
+        With A^T = Q_a R from the QR of [A^T; sqrt(mu) I], Q_S = R^T R and
+        p_i = R^T Q_a^T phi_i, so r_i = R^{-1} Q_a^T phi_i at every depth.
         """
         a = self.phi[self.selected[: self.depth]]
-        return a @ self.phi[i], shifted_qr(a.T, self.mu, self.phi[i])
+        q_a, x = shifted_qr(a.T, self.mu, with_q=True)
+        return a @ self.phi[i], x.T @ (q_a.T @ self.phi[i])
 
     def _h_and_cost(self, a, score):
         """Schur complement and cost of a candidate from its a and its score b / a."""
@@ -491,19 +494,17 @@ def fmbs_select(phi, m, mu):
 
 
 def _stack_buffers(n, k, m):
-    """(rows, stack): the buffers _extension_traces fills, allocated once per run.
+    """(rows, work): the buffers _extension_traces fills, allocated once per run.
 
-    rows holds one block of gathered candidate rows (at most N of them, at
-    least one).  stack is flat, with room for len(rows) matrices of side
-    s = min(m, K), capped at one block, or one matrix where that is larger:
-    a bordered stack's batch is at most len(rows) and its side at most s,
-    so that bounds every stack a run forms.  Past depth K (s = K) it holds
-    the len(rows) x K products of those rows with Ninv instead, which fit
-    in it too.
+    rows holds one block of gathered candidate rows, and work, flat, their
+    products: K entries per candidate (Q_a c_i below depth K, Ninv phi_i
+    past it) and, below depth K, 2t more (c_i and r_i, with t at most
+    min(m, K) - 1).  Together they hold one block, or one candidate where
+    that is larger, and at most N candidates.
     """
-    rows = np.empty((min(n, max(1, _BLOCK_ENTRIES // k)), k))
-    s = min(m, k)
-    return rows, np.empty(min(len(rows) * s * s, max(_BLOCK_ENTRIES, s * s)))
+    width = k + 2 * (min(m, k) - 1)
+    rows = np.empty((min(n, max(1, _BLOCK_ENTRIES // (k + width))), k))
+    return rows, np.empty(len(rows) * width)
 
 
 # Ninv is up to 1/mu, so at a tiny mu the K-space products can overflow;
@@ -512,61 +513,65 @@ def _stack_buffers(n, k, m):
 def _extension_traces(phi, base, candidates, mu, buffers):
     """Trace scores of the row set base + [i] for every candidate row i.
 
-    With t = len(base) and A = phi[base], while t + 1 <= K each score is
-    the trace of the inverse of the bordered (t+1) x (t+1) principal
-    submatrix of Phi Phi^T + mu I, the submatrix objective itself.  These
-    matrices are built in stacks of at most _BLOCK_ENTRIES entries,
-    counting max(side^2, K) per candidate so that the gathered candidate
-    rows fit in a block as well as the stack (one candidate per stack once
-    a single matrix is larger), and each stack is factored by one
-    trace_inverse call.  Past that the score is the trace of the inverse
-    of the K x K matrix N + phi_i phi_i^T, N = A^T A + mu I, which falls
-    short of the submatrix objective by exactly (t + 1 - K)/mu; the caller
-    adds that constant.  No such matrix is formed: by Sherman-Morrison the
-    score is tr(Ninv) minus the K-space gain |Ninv phi_i|^2 / (1 + d_i),
-    d_i = phi_i . Ninv phi_i, from _k_space_terms over blocks of candidate
-    rows, with Ninv = X^T X from one shifted_qr of A per call, which never
-    forms A^T A.  A score that is not finite raises DegenerateSchur naming
-    the step and the candidate.  Rows, stacks and row blocks of Ninv
-    products are written in place into the run's _stack_buffers, so a run
-    allocates them once, not once per call.  No candidate's matrix, trace
-    or gain depends on the block it falls in, so its score is bitwise the
-    same for any block size.
+    With t = len(base) and A = phi[base], while t < K each score is the
+    submatrix objective itself, by the paper's bordered-inverse identity
+    tr(Q_S^{-1}) + (1 + |r_i|^2) / h_i.  From one linalg.shifted_qr of
+    [A^T; sqrt(mu) I] per call, with Q_a its block facing A^T and
+    X = R^{-T}: tr(Q_S^{-1}) = |X|_F^2, c_i = Q_a^T phi_i, r_i = X^T c_i,
+    and h_i = mu (1 + |r_i|^2) + |phi_i - Q_a c_i|^2, a sum of squares that
+    is at least mu.  The increment is taken as 1 / (mu + |phi_i - Q_a c_i|^2
+    / (1 + |r_i|^2)), which stays finite where |r_i|^2 overflows.  Past that the score is the trace of the inverse of
+    the K x K matrix N + phi_i phi_i^T, N = A^T A + mu I, which falls short
+    of the submatrix objective by exactly (t + 1 - K)/mu; the caller adds
+    that constant.  No such matrix is formed: by Sherman-Morrison the score
+    is tr(Ninv) minus the K-space gain |Ninv phi_i|^2 / (1 + d_i),
+    d_i = phi_i . Ninv phi_i, from _k_space_terms, with Ninv = X^T X from
+    one shifted_qr of [A; sqrt(mu) I] per call.  Neither regime forms A^T A
+    or A A^T.  A score that is not finite raises DegenerateSchur naming the
+    step and the candidate.  Both regimes go through the candidates in row
+    blocks written in place into the run's _stack_buffers, so a run
+    allocates them once, not once per call.  Every product is formed per
+    row, so a score is bitwise the same for any block size.
     """
     t, k = len(base), phi.shape[1]
     a = phi[base]
-    rows_buffer, stack_buffer = buffers
-    if t + 1 > k:
+    rows_buffer, work = buffers
+    size = len(rows_buffer)
+    # Q_a c_i below depth K and Ninv phi_i past it, then c_i and r_i
+    products = work[: size * k].reshape(size, 1, k)
+    if t < k:
+        q_a, x = shifted_qr(a.T, mu, with_q=True)
+        c_all, r_all = work[size * k : size * (k + 2 * t)].reshape(2, size, 1, t)
+    else:
         x = shifted_qr(a, mu)
         ninv = x.T @ x
-        q = stack_buffer[: len(rows_buffer) * k].reshape(-1, 1, k)
-    else:
-        batch = min(candidates.size, max(1, _BLOCK_ENTRIES // max((t + 1) ** 2, k)))
-        q = stack_buffer[: batch * (t + 1) ** 2].reshape(batch, t + 1, t + 1)
-        # every matrix of a stack shares the part fixed by base; only the
-        # candidate's own terms change from one to the next
-        q[:, :t, :t] = shifted_gram(a.T, mu)
     vals = np.empty(candidates.size)
-    for lo in range(0, candidates.size, len(q)):
+    for lo in range(0, candidates.size, size):
         # gathered in place; mode="clip" (the indices are in range) because
         # the default mode="raise" copies through a second buffer
-        chunk = candidates[lo : lo + len(q)]
+        chunk = candidates[lo : lo + size]
         rows = np.take(phi, chunk, axis=0, out=rows_buffer[: chunk.size], mode="clip")
-        stack, out = q[: chunk.size], vals[lo : lo + chunk.size]
-        # one vector-matrix product per candidate, so that neither its
-        # border nor its row of Ninv depends on the stack it falls in (a
-        # product of several rows, gemm, differs from one row's, gemv, in
-        # the last bits, and at some K with the number of rows)
-        if t + 1 > k:
-            _k_space_terms(rows, np.matmul(rows[:, None, :], ninv, out=stack)[:, 0], out, out, gain=True)
+        out, nb = vals[lo : lo + chunk.size], chunk.size
+        # one vector-matrix product per candidate, so that none of its
+        # products depends on the block it falls in (a product of several
+        # rows, gemm, differs from one row's, gemv, in the last bits, and
+        # at some K with the number of rows)
+        if t >= k:
+            _k_space_terms(rows, np.matmul(rows[:, None, :], ninv, out=products[:nb])[:, 0], out, out, gain=True)
             continue
-        border = (rows[:, None, :] @ a.T)[:, 0]
-        stack[:, :t, t] = border
-        stack[:, t, :t] = border
-        stack[:, t, t] = np.einsum("ij,ij->i", rows, rows) + mu
-        out[:] = trace_inverse(stack)
-    if t + 1 > k:
+        c = np.matmul(rows[:, None, :], q_a, out=c_all[:nb])
+        r = np.matmul(c, x, out=r_all[:nb])[:, 0]
+        # the gathered rows become the residuals phi_i - Q_a c_i
+        rows -= np.matmul(c, q_a.T, out=products[:nb])[:, 0]
+        np.einsum("ij,ij->i", r, r, out=out)
+        out += 1.0
+        np.divide(np.einsum("ij,ij->i", rows, rows), out, out=out)
+        out += mu
+        np.reciprocal(out, out=out)
+    if t >= k:
         np.subtract(ninv.trace(), vals, out=vals)
+    else:
+        vals += np.square(x, out=x).sum()
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise DegenerateSchur(f"step {t}: candidate {candidates[bad[0]]} scores {vals[bad[0]]}, not finite")
@@ -586,18 +591,16 @@ def direct_greedy_select(phi, m, mu):
 
     Same selection rule as fmbs_select, through _pick, so exact ties go to
     the smallest index, but each candidate is scored from scratch by
-    _extension_traces: the bordered (t+1) x (t+1) submatrix while
-    t + 1 <= K, at O(min(t+1, K)^3) per candidate, and past it
-    tr(Ninv) minus the candidate's K-space gain, at one QR of
-    [A; sqrt(mu) I] per step plus O(K^2) per candidate.  It checks no
-    Schur floor: where every candidate is degenerate, and fmbs raises
-    DegenerateSchur, it returns the pick that rounding decides.  Nothing
-    is carried from one step to the next but the selected indices, so it
-    stays an independent correctness oracle for fmbs_select's carried
-    state.  Past depth K no A^T A is formed, so a row of large norm does
-    not swamp mu there.  Below it the bordered A A^T + mu I is: where one
-    candidate's matrix is singular to rounding, its stack raises
-    NotPositiveDefinite, on input where fmbs_select completes.
+    _extension_traces, from one QR per step: tr(Q_S^{-1}) plus the
+    candidate's (|r_i|^2 + 1) / h_i while t + 1 <= K, at O(t K) per
+    candidate, and past it tr(Ninv) minus the candidate's K-space gain,
+    at O(K^2) per candidate.  It checks no Schur floor: where every
+    candidate is degenerate, and fmbs raises DegenerateSchur, it returns
+    the pick that rounding decides, since every h_i it forms is at least
+    mu.  Nothing is carried from one step to the next but the selected
+    indices, so it stays an independent correctness oracle for
+    fmbs_select's carried state.  No A A^T or A^T A is formed, so a row of
+    large norm does not swamp mu.
     """
     start = time.perf_counter_ns()
     phi, m, mu, q_diag = _prepare(phi, m, mu)
@@ -631,13 +634,14 @@ def exhaustive_select(phi, m, mu):
     are equal in exact arithmetic, such as two holding the same rows
     through a copied row: their rows are factored in different orders, so
     their scores differ by rounding only.  The subsets sharing their first
-    m - 1 rows are scored together by _extension_traces, so past m = K a
-    subset scores tr(Ninv) of its prefix minus its last row's K-space
-    gain, which drops the constant (m - K)/mu common to all of them.  Each
-    prefix of the winner is scored for the objective trace as
-    greedy-direct scores a step, by _extension_traces plus that constant,
-    so no entry factors a matrix swamped by its 1/mu term.  Guarded by
-    EXHAUSTIVE_LIMIT.
+    m - 1 rows are scored together by _extension_traces, from one QR of
+    the prefix, so up to m = K a subset scores tr(Q_S^{-1}) of its prefix
+    plus its last row's (|r_i|^2 + 1) / h_i, and past it tr(Ninv) of its
+    prefix minus its last row's K-space gain, which drops the constant
+    (m - K)/mu common to all of them.  Each prefix of the winner is scored
+    for the objective trace as greedy-direct scores a step, by
+    _extension_traces plus that constant, so no entry factors a matrix
+    swamped by its 1/mu term.  Guarded by EXHAUSTIVE_LIMIT.
     """
     phi, m, mu, _ = _prepare(phi, m, mu)
     n, k = phi.shape

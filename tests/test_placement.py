@@ -19,7 +19,6 @@ from fmbs import (
     Model,
     ModelSpec,
     NonFiniteInput,
-    NotPositiveDefinite,
     TooLarge,
     as_sample_set,
     direct_greedy_select,
@@ -376,10 +375,10 @@ def test_direct_greedy_identity():
 
 @pytest.mark.parametrize("entries", [1, 2**24])
 def test_direct_greedy_stack_size_invisible(monkeypatch, traced_peak, entries):
-    # one candidate per stack and every candidate in one stack both give
-    # the default run's picks and traces bitwise, before and past depth K;
-    # the run's buffers hold what its stacks need (1.6 KB of rows here),
-    # never a whole block of 2**24 entries
+    # one candidate per row block and every candidate in one block both
+    # give the default run's picks and traces bitwise, before and past
+    # depth K; the run's buffers hold what its blocks need (1.6 KB of rows
+    # here), never a whole block of 2**24 entries
     import fmbs.placement as placement
 
     phi = np.random.default_rng(21).standard_normal((40, 5))
@@ -393,11 +392,10 @@ def test_direct_greedy_stack_size_invisible(monkeypatch, traced_peak, entries):
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "negative-zero"])
 def test_stack_scores_equal_single_matrix_traces(kind):
-    # every stacked bordered score is == trace_inverse of the candidate's
-    # matrix built alone; every K-space score is == the candidate scored
+    # every score, below and past depth K, is == the candidate scored
     # alone, and within 1e-12 of sum 1/(sigma^2 + mu) from an SVD of
-    # [A; phi_i]; -0.0 entries change no product's bits
-    from fmbs.linalg import shifted_gram, trace_inverse
+    # [A; phi_i] (past K, the objective less (t + 1 - K)/mu); -0.0
+    # entries change no product's bits
     from fmbs.placement import _extension_traces, _stack_buffers
 
     n, k = 60, 20
@@ -410,24 +408,16 @@ def test_stack_scores_equal_single_matrix_traces(kind):
             phi[rng.random((n, k)) < 0.3] = -0.0
     # sized for a run at budget k + 4, the deepest base below plus one
     buffers = _stack_buffers(n, k, k + 4)
-    for t in (1, 2, k - 1, k, k + 3):
+    for t in (0, 1, 2, k - 1, k, k + 3):
         base = list(range(0, 2 * t, 2))
         candidates = np.setdiff1d(np.arange(n), base)
         vals = _extension_traces(phi, base, candidates, MU, buffers)
         a = phi[base]
         for i, val in zip(candidates, vals):
-            row = phi[i]
-            if t + 1 <= k:
-                q = np.empty((t + 1, t + 1))
-                q[:t, :t] = shifted_gram(a.T, MU)
-                q[:t, t] = q[t, :t] = row @ a.T
-                q[t, t] = np.einsum("i,i->", row, row) + MU
-                assert val == trace_inverse(q), (t, i)
-            else:
-                assert val == _extension_traces(phi, base, np.array([i]), MU, buffers)[0], (t, i)
-                sigma = np.linalg.svd(np.vstack([a, row]), compute_uv=False)
-                ref = float(np.sum(1.0 / (sigma**2 + MU)))
-                assert abs(val - ref) <= 1e-12 * ref, (t, i)
+            assert val == _extension_traces(phi, base, np.array([i]), MU, buffers)[0], (t, i)
+            sigma = np.linalg.svd(np.vstack([a, phi[i]]), compute_uv=False)
+            ref = float(np.sum(1.0 / (sigma**2 + MU)))
+            assert abs(val - ref) <= 1e-12 * ref, (t, i)
 
 
 @pytest.mark.parametrize("entries", [1, 2**24])
@@ -716,18 +706,28 @@ def test_k_space_score_that_is_not_finite_is_named():
             _extension_traces(phi, [0, 1], np.array([3, 2]), 1e-300, _stack_buffers(4, 2, 3))
 
 
+@pytest.mark.parametrize("mu", [1e-200, 1e-300])
+def test_direct_greedy_picks_where_a_prefix_is_rank_deficient(mu):
+    # rows 0 and 1 lie along e1, so below depth K = 2 the candidate 0 has
+    # the bordered A A^T + mu I of [2e12, 0] and [1e12, 0], singular to
+    # rounding: a Cholesky factor of it raised NotPositiveDefinite, while
+    # the QR of [A^T; sqrt(mu) I] scores it at 1/mu + tr(Q_S^{-1}), and
+    # greedy-direct picks as fmbs does
+    phi = np.array([[1e12, 0.0], [2e12, 0.0], [0.0, 1e9], [1.0, 1.0], [0.5, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        direct = direct_greedy_select(phi, 3, mu)
+    assert direct.indices == fmbs_select(phi, 3, mu).indices == [1, 2, 0]
+    assert np.isfinite(direct.objective_trace).all()
+
+
 def row_scale_params():
     """60 x 8 matrices whose row norms span up to 12 decades.
 
     Gaussian ones with row 0 scaled, and Gaussian and {0, 1} ones with
     geometrically spread row norms.  A {0, 1} matrix with one scaled row is
     left out: there float64 SVD itself is up to 3.1e-6 off the exact value.
-    On four {0, 1} spreads greedy-direct raises NotPositiveDefinite below
-    depth K, where its bordered stacks factor A A^T + mu I; those are
-    marked as expected failures, and their K-space score is still checked.
     """
-    bordered_fails = pytest.mark.xfail(raises=NotPositiveDefinite, strict=True,
-                                       reason="greedy-direct's bordered stack is not positive definite")
     for seed in (1, 2, 3):
         for scale in (1e3, 1e6, 1e9, 1e12):
             phi = generate(ModelSpec(Model.GAUSSIAN, 60, 8, seed))
@@ -736,8 +736,7 @@ def row_scale_params():
         for model in (Model.GAUSSIAN, Model.BERNOULLI):
             for spread in (1e3, 1e6, 1e9, 1e12):
                 phi = generate(ModelSpec(model, 60, 8, seed)) * np.geomspace(1.0, spread, 60)[:, None]
-                marks = bordered_fails if model is Model.BERNOULLI and seed < 3 and spread > 1e6 else ()
-                yield pytest.param(phi, marks=marks, id=f"{model.name.lower()}-{seed}-spread-{spread:g}")
+                yield pytest.param(phi, id=f"{model.name.lower()}-{seed}-spread-{spread:g}")
 
 
 @pytest.mark.parametrize("phi", row_scale_params())
@@ -746,7 +745,9 @@ def test_k_space_score_matches_svd_under_row_scaling(phi):
     # and not under (m - K)/mu, is within 1e-12 of sum 1/(sigma^2 + mu)
     # from an SVD of the picked rows, and greedy-direct picks as fmbs does;
     # a score that factored A^T A + mu I + phi_i phi_i^T was 7.2e-6 off at
-    # a row scaled by 1e6 and raised NotPositiveDefinite at 1e9 and 1e12
+    # a row scaled by 1e6 and raised NotPositiveDefinite at 1e9 and 1e12,
+    # and below depth K, factoring each candidate's bordered A A^T + mu I
+    # raised it on the {0, 1} spreads 1e9 and 1e12 of seeds 1 and 2
     from fmbs.placement import _extension_traces, _stack_buffers
 
     m, mu = 20, 1e-4
@@ -819,8 +820,9 @@ def test_fmbs_select_transient_memory_is_one_block(traced_peak):
 
 
 def test_direct_greedy_transient_memory_is_one_block(traced_peak):
-    # a stack counts K entries per candidate at least, so the candidate
-    # rows it gathers (8 MB for all of them here) stay within one block
+    # a row block counts each candidate's row and its products, so the
+    # candidate rows it gathers (8 MB for all of them here) stay within
+    # one block with their products
     phi = np.random.default_rng(33).standard_normal((10000, 100))
     assert traced_peak(lambda: direct_greedy_select(phi, 3, MU)) <= 1_000_000
 
@@ -829,7 +831,7 @@ def test_blocked_loops_hold_one_block_at_a_time(traced_peak):
     # each loop writes its block in place, so it never holds the next
     # block while the last one is still bound: the step that switches to
     # K space stays within two 256 KB blocks, and greedy-direct, whose
-    # stacks sit beside the rows they gather, within three
+    # products sit beside the rows they gather, within three
     phi = np.random.default_rng(33).standard_normal((10000, 100))
     states = []
     for _ in range(2):
@@ -1037,7 +1039,7 @@ def test_direct_greedy_regime_switch(n, k, m):
 @pytest.mark.parametrize("entries", [1, 2**24])
 def test_direct_greedy_tie_past_depth_k(monkeypatch, entries):
     # a copy of the row picked at step s, appended last, ties with it
-    # there; in one stack or in separate ones, the original wins
+    # there; in one row block or in separate ones, the original wins
     import fmbs.placement as placement
 
     monkeypatch.setattr(placement, "_BLOCK_ENTRIES", entries)
@@ -1100,8 +1102,8 @@ def test_exhaustive_lower_bounds_greedy():
 
 @pytest.mark.parametrize("entries", [1, 2**24])
 def test_exhaustive_stack_size_invisible(monkeypatch, entries):
-    # the stacks of exhaustive change size from prefix to prefix; one
-    # subset per stack and every subset of a prefix in one stack both give
+    # the products of exhaustive change width from prefix to prefix; one
+    # subset per row block and every subset of a prefix in one block both give
     # the default run's optimum, before and past m = K, also where copied
     # rows make distinct subsets tie exactly
     import fmbs.placement as placement

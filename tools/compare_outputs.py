@@ -60,7 +60,7 @@ COMMANDS = [
     "scaling --sweep m --n 120 --k 10 --values 10:30:10 --repeats 1 --seed 8 --out scaling.csv",
     # K above 32: the benchmark's place shape, whose switch inverts a side-100
     # factor by 4 x 25 blocks, and a side-33 bench, whose expected_mse, switch
-    # and greedy-direct stacks run invert_lower's padded path
+    # and greedy-direct's factor past depth K run invert_lower's padded path
     "gen --model 1 --n 1000 --k 100 --seed 9 --out deep.bin",
     "place --matrix deep.bin --budget 120 --method fmbs --out deep-fmbs.json",
     "bench --model 1 --n 150 --k 33 --budgets 33:45:6 --trials 2 --seed 10 "
